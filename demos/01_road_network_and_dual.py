@@ -41,7 +41,7 @@ print("edges (src -> dst, information flows src to dst):")
 print("  " + ", ".join(f"{s}->{d}" for s, d in dual.edges))
 
 # Sanity: every road has one self-loop and one reversed edge per successor.
-expected = dual.node_count + sum(len(s) for s in dual.successor_index)
+expected = dual.node_count + sum(len(successors(network, j)) for j in range(dual.node_count))
 print(f"expected edge count {expected} == actual {len(dual.edges)}")
 
 # Each road's in-neighborhood in the dual = itself plus its successors.

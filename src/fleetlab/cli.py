@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import marl, scenario, sim, toylab
-from .gnn import GnnConfig, load_checkpoint, save_checkpoint
+from .gnn import CheckpointError, GnnConfig, load_checkpoint, save_checkpoint
 from .roadnet import build_dual_graph
 
 LOG = logging.getLogger("fleetlab")
@@ -325,14 +325,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except scenario.ScenarioError as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except sim.ConfigurationError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except FileNotFoundError as exc:
-        print(f"missing file: {exc}", file=sys.stderr)
+    except (
+        scenario.ScenarioError, sim.ConfigurationError, CheckpointError, FileNotFoundError
+    ) as exc:
+        print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

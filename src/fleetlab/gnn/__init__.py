@@ -3,6 +3,7 @@
 from .autodiff import Tensor, backward, concat
 from .qnet import (
     AdamOptimizer,
+    CheckpointError,
     GnnConfig,
     ParamStore,
     copy_into_target,
@@ -28,4 +29,5 @@ __all__ = [
     "copy_into_target",
     "save_checkpoint",
     "load_checkpoint",
+    "CheckpointError",
 ]

@@ -28,11 +28,16 @@ __all__ = [
     "copy_into_target",
     "save_checkpoint",
     "load_checkpoint",
+    "CheckpointError",
 ]
 
 CHECKPOINT_FORMAT = "fleetlab-qnet"
 CHECKPOINT_VERSION = 1
 IN_FEATURES = 3  # idle count, call count, speed
+
+
+class CheckpointError(ValueError):
+    """A checkpoint file that is not a well-formed checkpoint of its own config."""
 
 
 @dataclass(frozen=True)
@@ -144,22 +149,21 @@ def init_params(config: GnnConfig, seed: int = 0) -> ParamStore:
 
 
 @lru_cache(maxsize=16)
-def _aggregation_structure(dual: DualGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Dense helpers for a dual graph: mean-aggregation matrix and edge mask.
+def _mean_matrix(indptr: bytes, actions: bytes) -> np.ndarray:
+    """Dense mean-aggregation matrix of a dual graph's action table, given as bytes.
 
-    Row i of the mean matrix averages over i's predecessors (self-loop always
-    included, so rows are never empty). The mask holds 0 on edges and a large
-    negative on non-edges, ready to be added to attention logits.
+    Row i averages over i and i's action row, so rows are never empty and the
+    nonzeros are exactly the dual's edges. Keyed on content, so equal tables
+    built by separate calls share one cache entry.
     """
-    n = dual.node_count
-    adj = np.zeros((n, n), dtype=np.float64)
-    for src, dst in dual.edges:
-        adj[dst, src] = 1.0
-    mean = adj / adj.sum(axis=1, keepdims=True)
-    mask_bias = np.where(adj > 0.0, 0.0, -1e9)
+    offsets = np.frombuffer(indptr, dtype=np.intp)
+    n = len(offsets) - 1
+    mean = np.zeros((n, n), dtype=np.float64)
+    mean[np.repeat(np.arange(n), np.diff(offsets)), np.frombuffer(actions, dtype=np.intp)] = 1.0
+    np.fill_diagonal(mean, 1.0)
+    mean /= mean.sum(axis=1, keepdims=True)
     mean.setflags(write=False)
-    mask_bias.setflags(write=False)
-    return mean, mask_bias
+    return mean
 
 
 def _normalize_features(config: GnnConfig, features: np.ndarray) -> np.ndarray:
@@ -189,7 +193,7 @@ def forward_graph(
             f"features shape {features.shape} does not match "
             f"({dual.node_count}, {IN_FEATURES})"
         )
-    mean_mat, mask_bias = _aggregation_structure(dual)
+    mean_mat = _mean_matrix(dual.indptr.tobytes(), dual.actions.tobytes())
     x = _normalize_features(config, features)
 
     if config.kind == "gcn":
@@ -203,6 +207,7 @@ def forward_graph(
 
     h = x
     n = dual.node_count
+    mask_bias = np.where(mean_mat > 0.0, 0.0, -1e9)  # added to attention logits off the edges
     for layer in range(config.layers):
         last = layer == config.layers - 1
         head_outputs = []
@@ -310,14 +315,22 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path) -> tuple[GnnConfig, ParamStore, dict]:
-    payload = json.loads(Path(path).read_text())
-    if payload.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} checkpoint")
+    """Read a checkpoint; its arrays must match `init_params(config)` in names and shapes."""
+    try:
+        payload = json.loads(Path(path).read_text())
+    except ValueError as exc:  # malformed JSON or text
+        raise CheckpointError(f"{path}: malformed JSON ({exc})") from exc
+    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
+        raise CheckpointError(f"{path}: not a {CHECKPOINT_FORMAT} checkpoint")
     if payload.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {payload.get('version')}")
-    config = GnnConfig(**payload["config"])
-    arrays = {
-        entry["name"]: np.asarray(entry["values"], dtype=np.float64).reshape(entry["shape"])
-        for entry in payload["arrays"]
-    }
-    return config, ParamStore(arrays), payload.get("meta", {})
+        raise CheckpointError(f"{path}: unsupported checkpoint version {payload.get('version')}")
+    try:
+        config = GnnConfig(**payload["config"])
+        params = ParamStore({
+            entry["name"]: np.asarray(entry["values"], dtype=np.float64).reshape(entry["shape"])
+            for entry in payload["arrays"]
+        })
+        copy_into_target(params, init_params(config))  # raises unless names and shapes match
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: arrays and config do not match ({exc!r})") from exc
+    return config, params, payload.get("meta", {})

@@ -44,7 +44,6 @@ __all__ = [
     "softmax_weights",
     "policy_from_q",
     "uniform_policy",
-    "expected_future_q",
     "td_targets",
     "dqn_loss",
     "soft_q_target",
@@ -90,77 +89,88 @@ class PolicyKind:
 
 
 class Policy:
-    """Per-road probability vector over that road's relocation actions.
+    """Per-road probability rows over a dual graph's action table.
 
-    The action list of road j is its successor list, or [j] (stay) when the
-    road is a dead end. Rows always sum to 1.
+    `indptr` and `actions` are the table (see `DualGraph`), shared rather than
+    copied; `probs` holds one probability per action slot, so road j's row is
+    `probs[indptr[j]:indptr[j + 1]]`. Rows always sum to 1.
     """
 
-    def __init__(self, actions: Sequence[np.ndarray], probs: Sequence[np.ndarray]):
-        self.actions = [np.asarray(a, dtype=np.intp) for a in actions]
-        self.probs = [np.asarray(p, dtype=np.float64) for p in probs]
-        if len(self.actions) != len(self.probs):
-            raise ValueError("actions and probs must align per road")
+    def __init__(self, indptr: np.ndarray, actions: np.ndarray, probs: np.ndarray):
+        self.indptr = np.asarray(indptr, dtype=np.intp)
+        self.actions = np.asarray(actions, dtype=np.intp)
+        self.probs = np.asarray(probs, dtype=np.float64)
+        if self.probs.shape != self.actions.shape or self.indptr[-1] != len(self.actions):
+            raise ValueError("indptr, actions and probs must describe the same table")
 
     @property
     def n_roads(self) -> int:
-        return len(self.actions)
+        return len(self.indptr) - 1
 
     def distribution(self, road: int) -> tuple[np.ndarray, np.ndarray]:
         if not 0 <= road < self.n_roads:
             raise LookupError(f"policy has no row for road {road}")
-        return self.actions[road], self.probs[road]
+        row = slice(self.indptr[road], self.indptr[road + 1])
+        return self.actions[row], self.probs[row]
 
     def mixed_with_uniform(self, epsilon: float) -> "Policy":
         """Exploration mix (1 - eps) * self + eps * uniform over each action list."""
         if epsilon == 0.0:
             return self
-        mixed = [
-            (1.0 - epsilon) * p + epsilon / len(p) for p in self.probs
-        ]
-        return Policy(self.actions, mixed)
+        degree = np.diff(self.indptr)
+        mixed = (1.0 - epsilon) * self.probs + epsilon / np.repeat(degree, degree)
+        return Policy(self.indptr, self.actions, mixed)
 
     def check_rows(self, atol: float = 1e-9) -> None:
-        for road, p in enumerate(self.probs):
-            if abs(p.sum() - 1.0) > atol or (p < 0).any():
-                raise ValueError(f"road {road}: invalid probability row {p}")
+        starts = self.indptr[:-1]
+        bad = ~(np.abs(np.add.reduceat(self.probs, starts) - 1.0) <= atol)
+        bad |= np.minimum.reduceat(self.probs, starts) < 0
+        if bad.any():
+            road = int(np.argmax(bad))
+            raise ValueError(f"road {road}: invalid probability row {self.distribution(road)[1]}")
 
 
-def power_weights(q: np.ndarray, beta: float, strict: bool = True) -> np.ndarray:
-    """Normalized q**beta computed in log space so huge beta cannot overflow.
+def _segment_softmax(x: np.ndarray, indptr: np.ndarray, scale: float = 1.0):
+    """Per segment `x[indptr[j]:indptr[j + 1]]`: softmax(scale * x) and log sum exp(scale * x).
 
-    With `strict` every q must be positive (guaranteed by the sigmoid output
-    head); otherwise zeros are allowed and receive zero weight, falling back
-    to uniform when everything is zero.
+    Both shift by the segment max, so a large scale cannot overflow.
+    """
+    starts, degree = indptr[:-1], np.diff(indptr)
+    peak = np.maximum.reduceat(x, starts)
+    w = np.exp(scale * (x - np.repeat(peak, degree)))
+    total = np.add.reduceat(w, starts)
+    return w / np.repeat(total, degree), scale * peak + np.log(total)
+
+
+def power_weights(
+    q: np.ndarray, beta: float, strict: bool = True, indptr: np.ndarray | None = None
+) -> np.ndarray:
+    """Normalized q**beta per segment, computed in log space so huge beta cannot overflow.
+
+    Segments are `q[indptr[j]:indptr[j + 1]]`; without `indptr`, q is one
+    segment. With `strict` every q must be positive (guaranteed by the sigmoid
+    output head); otherwise zeros are allowed and receive zero weight, and a
+    segment of zeros falls back to uniform.
     """
     q = np.asarray(q, dtype=np.float64)
+    indptr = np.array([0, q.size]) if indptr is None else indptr
     if strict:
         if (q <= 0).any():
             raise ValueError("power policy requires strictly positive q values")
-        positive = np.ones(q.shape, dtype=bool)
-    else:
-        if (q < 0).any():
-            raise ValueError("power policy requires non-negative q values")
-        positive = q > 0
-        if not positive.any():
-            return np.full(q.shape, 1.0 / q.size)
+    elif (q < 0).any():
+        raise ValueError("power policy requires non-negative q values")
+    positive = q > 0
     logs = np.full(q.shape, -np.inf)
     logs[positive] = beta * np.log(q[positive])
-    w = np.exp(logs - logs.max())
-    return w / w.sum()
+    all_zero = ~np.logical_or.reduceat(positive, indptr[:-1])
+    logs[np.repeat(all_zero, np.diff(indptr))] = 0.0
+    return _segment_softmax(logs, indptr)[0]
 
 
-def softmax_weights(q: np.ndarray, beta: float) -> np.ndarray:
-    """Normalized exp(beta * q), shifted by the max for numerical stability."""
+def softmax_weights(q: np.ndarray, beta: float, indptr: np.ndarray | None = None) -> np.ndarray:
+    """Normalized exp(beta * q) per segment (one segment without `indptr`), max-shifted."""
     q = np.asarray(q, dtype=np.float64)
-    w = np.exp(beta * (q - q.max()))
-    return w / w.sum()
-
-
-def _greedy_row(q_row: np.ndarray) -> np.ndarray:
-    row = np.zeros(len(q_row))
-    row[int(np.argmax(q_row))] = 1.0  # argmax takes the lowest index on ties
-    return row
+    return _segment_softmax(q, np.array([0, q.size]) if indptr is None else indptr, beta)[0]
 
 
 def policy_from_q(
@@ -178,30 +188,27 @@ def policy_from_q(
     q = np.asarray(q, dtype=np.float64)
     if kind.name == "proportional" and observation is None:
         raise ValueError("proportional policy requires the current observation")
-    actions: list[np.ndarray] = []
-    probs: list[np.ndarray] = []
-    for road in range(dual.node_count):
-        acts = np.asarray(dual.successor_index[road] or (road,), dtype=np.intp)
-        actions.append(acts)
-        if len(acts) == 1:
-            probs.append(np.ones(1))
-            continue
-        if kind.name == "random":
-            probs.append(np.full(len(acts), 1.0 / len(acts)))
-        elif kind.name == "proportional":
-            counts = observation.call_counts[acts].astype(np.float64)
-            total = counts.sum()
-            probs.append(counts / total if total > 0 else np.full(len(acts), 1.0 / len(acts)))
-        elif kind.name == "greedy":
-            probs.append(_greedy_row(q[acts]))
-        elif kind.name == "eps-greedy":
-            greedy = _greedy_row(q[acts])
-            probs.append((1.0 - kind.epsilon) * greedy + kind.epsilon / len(acts))
-        elif kind.name == "pow":
-            probs.append(power_weights(q[acts], kind.beta))
-        else:  # "exp" and "entropy" share the softmax form
-            probs.append(softmax_weights(q[acts], kind.beta))
-    return Policy(actions, probs)
+    indptr, actions = dual.indptr, dual.actions
+    starts, degree = indptr[:-1], np.diff(indptr)
+    if kind.name == "random":
+        probs = 1.0 / np.repeat(degree, degree)
+    elif kind.name == "proportional":
+        counts = observation.call_counts[actions].astype(np.float64)
+        totals = np.repeat(np.add.reduceat(counts, starts), degree)
+        probs = np.divide(counts, totals, out=1.0 / np.repeat(degree, degree), where=totals > 0)
+    elif kind.name in ("greedy", "eps-greedy"):
+        values, slots = q[actions], np.arange(len(actions))
+        is_best = values == np.repeat(np.maximum.reduceat(values, starts), degree)
+        first = np.minimum.reduceat(np.where(is_best, slots, len(slots)), starts)
+        probs = np.zeros(len(actions))
+        probs[first] = 1.0  # the lowest index wins a tie
+        if kind.name == "eps-greedy":
+            return Policy(indptr, actions, probs).mixed_with_uniform(kind.epsilon)
+    elif kind.name == "pow":
+        probs = power_weights(q[actions], kind.beta, indptr=indptr)
+    else:  # "exp" and "entropy" share the softmax form
+        probs = softmax_weights(q[actions], kind.beta, indptr=indptr)
+    return Policy(indptr, actions, probs)
 
 
 def uniform_policy(dual: DualGraph) -> Policy:
@@ -211,20 +218,12 @@ def uniform_policy(dual: DualGraph) -> Policy:
 # -- targets -------------------------------------------------------------
 
 
-def expected_future_q(
-    q_next: np.ndarray, policy_next: Policy, sample: TransitionSample
-) -> float:
-    """Bootstrap value of a sample's road under the next-step policy.
-
-    Controllable agents average successor values under the policy row (a dead
-    end's stay row makes this the road's own value); non-controllable agents
-    are pinned to their road's value.
-    """
-    road = sample.road_after_move
-    if sample.was_controllable_next:
-        acts, p = policy_next.distribution(road)
-        return float(p @ q_next[acts])
-    return float(q_next[road])
+def _targets(samples: Sequence[TransitionSample], controlled, pinned, scale: float) -> np.ndarray:
+    """1 if terminated, else scale * (controlled if the agent can leave its road, else pinned)."""
+    fields = [(s.road_after_move, s.was_controllable_next, s.terminated) for s in samples]
+    roads, controllable, terminated = np.array(fields, dtype=np.intp).reshape(-1, 3).T
+    bootstrap = np.where(controllable, controlled[roads], pinned[roads])
+    return np.where(terminated, 1.0, scale * bootstrap)
 
 
 def td_targets(
@@ -237,12 +236,15 @@ def td_targets(
 
     A served order terminates the episode, so the target is the reward alone;
     otherwise the idle reward is 0 and only the discounted expectation remains.
+    Controllable agents bootstrap on their road's successor values averaged
+    under the policy row (a dead end's stay row makes this the road's own
+    value); non-controllable agents are pinned to their road's value.
     Targets are constants: no gradient flows through the target network.
     """
-    targets = np.empty(len(samples))
-    for i, s in enumerate(samples):
-        targets[i] = 1.0 if s.terminated else gamma * expected_future_q(q_next, policy_next, s)
-    return targets
+    expected = np.add.reduceat(
+        policy_next.probs * q_next[policy_next.actions], policy_next.indptr[:-1]
+    )
+    return _targets(samples, expected, q_next, gamma)
 
 
 def dqn_loss(q_pred, samples: Sequence[TransitionSample], targets: np.ndarray):
@@ -274,8 +276,7 @@ def soft_q_target(
     q = np.asarray(q_soft_next, dtype=np.float64)
     if q.size == 0:
         raise ValueError("soft backup needs at least one successor value")
-    m = q.max()
-    return float(reward + (gamma / beta) * (beta * m + np.log(np.exp(beta * (q - m)).sum())))
+    return float(reward + (gamma / beta) * _segment_softmax(q, np.array([0, q.size]), beta)[1][0])
 
 
 def soft_td_targets(
@@ -285,19 +286,12 @@ def soft_td_targets(
     beta: float,
     gamma: float,
 ) -> np.ndarray:
-    """Soft-value targets mirroring the controllability branch of the backup."""
-    targets = np.empty(len(samples))
-    for i, s in enumerate(samples):
-        if s.terminated:
-            targets[i] = 1.0
-            continue
-        road = s.road_after_move
-        if s.was_controllable_next:
-            acts = np.asarray(dual.successor_index[road] or (road,), dtype=np.intp)
-        else:
-            acts = np.array([road], dtype=np.intp)
-        targets[i] = soft_q_target(0.0, q_next[acts], beta, gamma)
-    return targets
+    """Soft-value targets mirroring the controllability branch of the backup.
+
+    An agent that cannot leave backs up over its stay value alone: beta * q.
+    """
+    soft = _segment_softmax(q_next[dual.actions], dual.indptr, beta)[1]
+    return _targets(samples, soft, beta * q_next, gamma / beta)
 
 
 # -- training ---------------------------------------------------------------

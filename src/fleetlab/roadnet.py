@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Iterable
 
+import numpy as np
+
 __all__ = [
     "Road",
     "RoadNetwork",
@@ -52,20 +54,27 @@ class RoadNetwork:
         return len(self.roads)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualGraph:
     """Road-adjacency graph the GNN computes on: one node per road.
 
-    For every consecutive pair of roads a -> b in the original network the dual
-    holds the reversed edge b -> a, plus one self-loop per road, so information
-    flows from a road's successors (and itself) into that road.
-    `successor_index[j]` lists road j's successors in the ORIGINAL orientation,
-    ascending by road id.
+    Road j's relocation choices are `actions[indptr[j]:indptr[j + 1]]`: its
+    successors in the ORIGINAL orientation, ascending, or just j at a dead end.
+    The arrays are read-only and shared by every policy built on this graph.
+    Road j's GNN neighbourhood is j plus that row: the dual's edges reverse each
+    consecutive pair of roads a -> b into b -> a, plus one self-loop per road.
     """
 
     node_count: int
-    edges: tuple[tuple[int, int], ...]  # (src, dst) pairs, message src -> dst
-    successor_index: tuple[tuple[int, ...], ...]
+    indptr: np.ndarray  # (node_count + 1,) row offsets into `actions`
+    actions: np.ndarray  # (indptr[-1],) road ids
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Sorted (src, dst) message pairs: road dst hears itself and its actions."""
+        dst = np.repeat(np.arange(self.node_count), np.diff(self.indptr))
+        pairs = set(zip(self.actions.tolist(), dst.tolist()))
+        return tuple(sorted(pairs | {(j, j) for j in range(self.node_count)}))
 
 
 def validate(network: RoadNetwork) -> list[str]:
@@ -107,20 +116,12 @@ def build_dual_graph(network: RoadNetwork) -> DualGraph:
         raise ValueError("invalid network: " + "; ".join(problems))
 
     outgoing: dict[Hashable, list[int]] = {}
-    for road in network.roads:
+    for road in network.roads:  # ids are dense positions, so each list ascends
         outgoing.setdefault(road.from_node, []).append(road.road_id)
+    rows = [outgoing.get(road.to_node) or [road.road_id] for road in network.roads]
 
-    succ = tuple(
-        tuple(sorted(outgoing.get(road.to_node, ()))) for road in network.roads
-    )
-
-    edges = {(j, j) for j in range(network.n_roads)}
-    for a in range(network.n_roads):
-        for b in succ[a]:
-            edges.add((b, a))  # reversed relative to the consecutive-road pair a -> b
-
-    return DualGraph(
-        node_count=network.n_roads,
-        edges=tuple(sorted(edges)),
-        successor_index=succ,
-    )
+    indptr = np.cumsum([0, *map(len, rows)], dtype=np.intp)
+    actions = np.concatenate(rows, dtype=np.intp)
+    for table in (indptr, actions):
+        table.setflags(write=False)
+    return DualGraph(node_count=network.n_roads, indptr=indptr, actions=actions)

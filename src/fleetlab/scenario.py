@@ -179,10 +179,12 @@ def _read_csv_rows(path: Path, columns: Sequence[str]) -> list[dict]:
     try:
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
-            if reader.fieldnames is None or [c.strip() for c in reader.fieldnames] != list(columns):
+            header = [c.strip() for c in reader.fieldnames or ()]
+            if header != list(columns):
                 raise ScenarioParseError(
                     f"{path}: expected header {','.join(columns)}, got {reader.fieldnames}"
                 )
+            reader.fieldnames = header  # rows are keyed by the stripped names
             return list(reader)
     except OSError as exc:
         raise ScenarioParseError(f"{path}: cannot read ({exc})") from exc

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 DEFAULT_ORDER_EXPIRY = 10  # steps an unserved order stays in its queue
+CHOICE_ATOL = float(np.sqrt(np.finfo(np.float64).eps))  # the row-sum slack rng.choice allows
 
 
 class ConfigurationError(ValueError):
@@ -56,7 +57,6 @@ class Driver:
     position: float  # fraction of road length, in [0, 1)
     serving_remaining: int = 0  # 0 means idle
     dropoff_road: int = -1
-    controllable: bool = False  # meaningful only between advance and relocate
 
     @property
     def idle(self) -> bool:
@@ -78,6 +78,7 @@ class Order:
 class Counters:
     orders_generated: int = 0
     orders_served: int = 0
+    orders_expired: int = 0
 
 
 @dataclass(frozen=True)
@@ -227,7 +228,7 @@ def advance_drivers(world: WorldState) -> set[int]:
     """Move every driver one step; return ids of idle drivers able to change road.
 
     Idle drivers travel by their road's current speed. Those reaching the road
-    end (>= comparison) are flagged controllable with position frozen until
+    end (>= comparison) are controllable, with position frozen until
     relocation. Serving drivers count down and, on reaching zero, reappear idle
     at their drop-off road with a fresh uniform position.
     """
@@ -244,7 +245,6 @@ def advance_drivers(world: WorldState) -> set[int]:
         # same expression for the threshold and the move keeps rounding consistent
         new_position = d.position + world.speeds[d.road] / length
         if new_position >= 1.0:
-            d.controllable = True
             controllable.add(d.driver_id)
         else:
             d.position = float(new_position)
@@ -259,22 +259,33 @@ def relocate(
     Positions on the new road are uniform in [0, 1). Roads with no successors
     carry a degenerate stay distribution, so the driver keeps its road but still
     resamples its position. Non-controllable drivers implicitly take the stay
-    action and are untouched here.
+    action and are untouched here. Movers are sampled at once by inverse CDF;
+    in fleet order each takes two draws, choice then position, which is the
+    stream and the row checks of `rng.choice(p=row)` then `rng.uniform()`.
     """
     if policy.n_roads != world.network.n_roads:
         raise ValueError(
             f"policy covers {policy.n_roads} roads, world has {world.network.n_roads}"
         )
-    assignments: dict[int, int] = {}
-    for d in world.drivers:
-        if d.driver_id not in controllable_ids:
-            continue
-        actions, probs = policy.distribution(d.road)
-        nxt = int(actions[world.rng.choice(len(actions), p=probs)])
-        d.road = nxt
-        d.position = float(world.rng.uniform())
-        assignments[d.driver_id] = nxt
-    return assignments
+    movers = [d for d in world.drivers if d.driver_id in controllable_ids]
+    roads = np.array([d.road for d in movers], dtype=np.intp)
+    start = policy.indptr[roads]
+    degree = policy.indptr[roads + 1] - start
+    slot = np.arange(degree.max(initial=1))  # with no movers, one empty column
+    inside = slot < degree[:, None]
+    rows = np.where(inside, policy.probs[np.where(inside, start[:, None] + slot, 0)], 0.0)
+    cdf = rows.cumsum(axis=1)  # padding repeats each row's total
+    total = cdf[:, -1:]
+    if (rows < 0).any() or not (np.abs(total - 1.0) <= CHOICE_ATOL).all():
+        raise ValueError("policy rows must be non-negative and sum to 1")
+    draws = world.rng.random((len(movers), 2))
+    # entries <= u, as searchsorted(side="right"); the padding is 1.0 > u
+    picks = (cdf / total <= draws[:, :1]).sum(axis=1)
+    targets = policy.actions[start + picks].tolist()
+    for d, road, position in zip(movers, targets, draws[:, 1].tolist()):
+        d.road = road
+        d.position = position
+    return {d.driver_id: d.road for d in movers}
 
 
 def assign_orders(world: WorldState) -> dict[int, int]:
@@ -302,24 +313,15 @@ def assign_orders(world: WorldState) -> dict[int, int]:
             d = candidates[int(idx)]
             d.serving_remaining = order.duration
             d.dropoff_road = order.end_road
-            d.controllable = False
             rewards[d.driver_id] = 1
             world.counters.orders_served += 1
     return rewards
 
 
-def spawn_and_expire_orders(
-    world: WorldState, call_data: Mapping[int, Sequence] | None = None
-) -> int:
-    """Enqueue calls opening at the current step and drop orders past expiry.
-
-    `call_data` (step -> calls) defaults to the index built from the world's
-    scenario; passing it explicitly replaces that index permanently.
-    """
-    if call_data is not None:
-        world.calls_by_time = dict(call_data)
+def spawn_and_expire_orders(world: WorldState) -> int:
+    """Enqueue calls opening at the current step and drop orders past expiry."""
     spawned = _spawn_orders(world)
-    _expire_orders(world)
+    world.counters.orders_expired += _expire_orders(world)
     return spawned
 
 
@@ -398,7 +400,6 @@ def step(world: WorldState, policy: "Policy") -> tuple[Observation, StepOutcome]
                 terminated=bool(reward),
             )
         )
-        d.controllable = False
 
     served = sum(r for _, r in agents)
     return observe(world), StepOutcome(tuple(samples), served, generated)

@@ -175,21 +175,10 @@ def write_sweep_csv(path: str | Path, points: Iterable[SweepPoint]) -> None:
             writer.writerow([repr(p.beta), p.family, repr(p.reward), int(p.converged)])
 
 
-def optimal_reward(config: ToyConfig = PAPER_CONFIG, grid: int = 2001) -> float:
-    """Best achievable total reward over all splits, by grid search plus refinement.
+def optimal_reward(config: ToyConfig = PAPER_CONFIG) -> float:
+    """Best achievable total reward over all splits: min(N1, calls_0 + calls_1).
 
-    The objective is concave and piecewise linear in the stay probability, so
-    two rounds of local grid refinement pin the peak to high precision.
+    Sending calls_j / N1 of the fleet to each road serves every call when
+    drivers suffice; otherwise every driver can be matched.
     """
-    lo, hi = 0.0, 1.0
-    best_p, best_r = 0.0, -np.inf
-    for _ in range(3):
-        ps = np.linspace(lo, hi, grid)
-        rewards = np.minimum(ps * config.drivers[0], config.calls[0]) + np.minimum(
-            (1 - ps) * config.drivers[0], config.calls[1]
-        )
-        i = int(np.argmax(rewards))
-        best_p, best_r = float(ps[i]), float(rewards[i])
-        span = (hi - lo) / (grid - 1)
-        lo, hi = max(0.0, best_p - span), min(1.0, best_p + span)
-    return best_r
+    return float(min(config.drivers[0], config.calls[0] + config.calls[1]))

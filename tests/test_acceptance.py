@@ -1,9 +1,10 @@
 """Acceptance suite: the headline behaviors, one test per criterion.
 
 Each test prints a PASS line with its measured numbers once its assertions
-hold, so `pytest tests/test_acceptance.py -v -s` doubles as a report. The
-ordering experiment (criterion 7) trains fifteen small GAT networks and
-dominates the runtime; everything else finishes in seconds.
+hold, so `pytest tests/test_acceptance.py -v -s` doubles as a report.
+Criterion 7, the trained-policy ordering experiment (stochastic > eps-greedy >
+greedy > random on a desk-scale city), is pending: it is not in this file yet
+(ROADMAP item 4). Everything here finishes in seconds.
 """
 
 import time
@@ -14,7 +15,7 @@ import pytest
 from fleetlab import marl, sim, toylab
 from fleetlab.gnn import GnnConfig, backward, forward, forward_graph, init_params
 from fleetlab.marl import PolicyKind, TabularMdp, TrainConfig, policy_from_q, tabular_expected_sarsa
-from fleetlab.roadnet import build_dual_graph
+from fleetlab.roadnet import build_dual_graph, successors
 from fleetlab.scenario import SynthParams, generate_network, generate_synthetic
 from fleetlab.sim import Observation
 
@@ -185,7 +186,7 @@ class TestCriterion6SimulatorConservation:
                 world = sim.init_world(net, scn, seed=world_seed)
                 trace = []
                 closure = {
-                    j: {j, *dual.successor_index[j]} for j in range(n_roads)
+                    j: {j, *successors(net, j)} for j in range(n_roads)
                 }
                 for _ in range(100):
                     before = {d.driver_id: (d.road, d.idle) for d in world.drivers}
@@ -195,6 +196,8 @@ class TestCriterion6SimulatorConservation:
                     assert world.total_drivers() == target
                     c = world.counters
                     assert c.orders_served <= c.orders_generated
+                    open_orders = sum(len(q) for q in world.queues)
+                    assert c.orders_generated == c.orders_served + c.orders_expired + open_orders
                     idle_before = {i for i, (_, idle) in before.items() if idle}
                     sampled = {s.driver_id for s in outcome.samples}
                     assert idle_before <= sampled
@@ -203,14 +206,14 @@ class TestCriterion6SimulatorConservation:
                         assert (s.reward == 1) == s.terminated
                         if s.driver_id in idle_before:
                             assert s.road_after_move in closure[before[s.driver_id][0]]
-                    trace.append((outcome, c.orders_generated, c.orders_served))
+                    trace.append((outcome, c.orders_generated, c.orders_served, c.orders_expired))
                 return trace
 
             assert run(1000 + seed) == run(1000 + seed)  # bit-identical replay
         report(
             "6",
             "3 seeds x 100 steps: fleet matches target, served <= generated, "
-            "reward<=>terminated, <=1 transition per step, bit-identical replays",
+            "generated == served + expired + open, reward<=>terminated, <=1 transition per step, bit-identical replays",
         )
 
 

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from fleetlab.cli import EXIT_DATA, EXIT_OK, main
+from fleetlab.gnn import GnnConfig, init_params, save_checkpoint
 
 
 def run_gen(tmp_path, **overrides):
@@ -157,6 +158,41 @@ class TestEval:
         )
         assert rc == EXIT_OK
         assert "pow" in out.read_text()
+
+    def test_header_with_spaces_loads(self, tmp_path):
+        city = run_gen(tmp_path)
+        drivers = city / "drivers.csv"
+        lines = drivers.read_text().splitlines()
+        drivers.write_text("\n".join(["t, total"] + lines[1:]) + "\n")
+        rc = main(
+            ["eval", "--scenario-dir", str(city), "--baselines", "random",
+             "--steps", "5", "--out", str(tmp_path / "t.csv")]
+        )
+        assert rc == EXIT_OK
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        ["malformed-json", "missing-config", "missing-arrays", "mismatched-arrays"],
+    )
+    def test_bad_checkpoint_is_data_error(self, tmp_path, corrupt):
+        city = run_gen(tmp_path)
+        path = tmp_path / "checkpoint.json"
+        cfg = GnnConfig(kind="gcn", layers=2, hidden_dim=8)
+        save_checkpoint(path, cfg, init_params(cfg), meta={"policy_name": "pow"})
+        payload = json.loads(path.read_text())
+        if corrupt == "malformed-json":
+            path.write_text(path.read_text()[:-10])
+        else:
+            if corrupt == "mismatched-arrays":
+                payload["config"]["layers"] = 3  # arrays still hold two layers
+            else:
+                del payload[corrupt.split("-")[1]]
+            path.write_text(json.dumps(payload))
+        rc = main(
+            ["eval", "--scenario-dir", str(city), "--checkpoint", str(path),
+             "--steps", "5", "--out", str(tmp_path / "t.csv")]
+        )
+        assert rc == EXIT_DATA
 
     def test_nothing_to_evaluate_is_usage_error(self, tmp_path):
         city = run_gen(tmp_path)

@@ -7,6 +7,10 @@ from fleetlab.roadnet import RoadNetwork, build_dual_graph, successors, validate
 from conftest import random_network, two_path_pairs
 
 
+def action_rows(dual):
+    return [dual.actions[a:b].tolist() for a, b in zip(dual.indptr[:-1], dual.indptr[1:])]
+
+
 def chain_abc():
     return RoadNetwork.from_edges(["a", "b", "c"], [("a", "b", 1000.0), ("b", "c", 800.0)])
 
@@ -66,7 +70,7 @@ class TestBuildDualGraph:
         dual = build_dual_graph(chain_abc())
         assert dual.node_count == 2
         assert set(dual.edges) == {(1, 0), (0, 0), (1, 1)}
-        assert dual.successor_index == ((1,), ())
+        assert action_rows(dual) == [[1], [1]]  # the dead end stays
 
     def test_merge_then_split_has_five_edges(self):
         # e1=(a,c), e2=(b,c), e3=(c,d): expected dual edges e3->e1, e3->e2 + 3 self-loops
@@ -94,14 +98,14 @@ class TestBuildDualGraph:
         )
         dual = build_dual_graph(net)
         assert dual.node_count == 3
-        assert dual.successor_index == ((2,), (2,), ())
+        assert action_rows(dual) == [[2], [2], [2]]
         assert set(dual.edges) == {(0, 0), (1, 1), (2, 2), (2, 0), (2, 1)}
 
     def test_loop_road_is_own_successor_deduplicated(self):
         # a road from b back to b succeeds itself; its dual edge merges with the self-loop
         net = RoadNetwork.from_edges(["a", "b"], [("a", "b", 1.0), ("b", "b", 1.0)])
         dual = build_dual_graph(net)
-        assert dual.successor_index == ((1,), (1,))
+        assert action_rows(dual) == [[1], [1]]
         assert set(dual.edges) == {(0, 0), (1, 1), (1, 0)}
 
     def test_edge_count_matches_two_path_enumeration(self, rng):
@@ -121,9 +125,12 @@ class TestBuildDualGraph:
             expected = two_path_pairs(net) - {(j, j) for j in range(net.n_roads)}
             assert recovered == expected
 
-    def test_successor_index_matches_successors(self, rng):
+    def test_action_rows_match_successors(self, rng):
         for _ in range(20):
             net = random_network(rng)
             dual = build_dual_graph(net)
+            rows = action_rows(dual)
+            assert len(rows) == net.n_roads
             for road in range(net.n_roads):
-                assert list(dual.successor_index[road]) == successors(net, road)
+                assert rows[road] == (successors(net, road) or [road])
+            assert not dual.indptr.flags.writeable and not dual.actions.flags.writeable

@@ -94,7 +94,7 @@ class TestAdvanceDrivers:
         d.position = 0.5  # 600 m step covers the remaining 500 m
         ids = sim.advance_drivers(world)
         assert ids == {d.driver_id}
-        assert d.controllable and d.position == 0.5  # frozen until relocation
+        assert d.position == 0.5  # frozen until relocation
 
     def test_short_move_updates_position(self):
         net = chain_network()
@@ -161,7 +161,7 @@ class TestRelocate:
     def test_policy_missing_row_raises(self):
         net = chain_network()
         world = sim.init_world(net, make_scenario(3, initial=[1, 0, 0]), seed=0)
-        small = Policy([np.array([0])], [np.array([1.0])])  # covers one road only
+        small = Policy(np.array([0, 1]), np.array([0]), np.array([1.0]))  # covers one road only
         with pytest.raises(ValueError):
             sim.relocate(world, small, {world.drivers[0].driver_id})
 
