@@ -1,6 +1,6 @@
 """Tensor autodiff engine and graph Q-network approximators."""
 
-from .autodiff import Tensor, backward, concat
+from .autodiff import Tensor, backward, segment_sum
 from .qnet import (
     AdamOptimizer,
     CheckpointError,
@@ -18,7 +18,7 @@ from .qnet import (
 __all__ = [
     "Tensor",
     "backward",
-    "concat",
+    "segment_sum",
     "GnnConfig",
     "ParamStore",
     "init_params",

@@ -2,20 +2,21 @@
 
 Both networks run on the reversed line graph: each road's embedding is built
 from itself (self-loop) and its successor roads, so the output of the final
-sigmoid layer is one action value per road, strictly inside (0, 1).
+sigmoid layer is one action value per road, strictly inside (0, 1). Messages
+flow over the dual's neighbourhood table (`roadnet.neighbourhoods`) as row
+gathers and segment sums, so a forward pass costs O(edges), never O(roads^2).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
-from ..roadnet import DualGraph
-from .autodiff import Tensor, concat
+from ..roadnet import DualGraph, neighbourhoods
+from .autodiff import Tensor, segment_sum
 
 __all__ = [
     "GnnConfig",
@@ -32,7 +33,7 @@ __all__ = [
 ]
 
 CHECKPOINT_FORMAT = "fleetlab-qnet"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 IN_FEATURES = 3  # idle count, call count, speed
 
 
@@ -44,11 +45,11 @@ class CheckpointError(ValueError):
 class GnnConfig:
     """Architecture and input-scaling knobs for a Q network.
 
-    `hidden_dim` is the width of a hidden layer after head concatenation, so
-    for GAT it must be divisible by `heads`. Count features are divided by
-    `count_scale` and speeds by `speed_scale` before entering the network;
-    leaving `speed_scale` unset (None) means no scaling until a caller, such
-    as the trainer, resolves it from the scenario's maximum speed.
+    `hidden_dim` is the width of a hidden layer; a GAT splits it evenly over
+    its `heads`, so it must be divisible by `heads`. Count features are
+    divided by `count_scale` and speeds by `speed_scale` before entering the
+    network; leaving `speed_scale` unset (None) means no scaling until a
+    caller, such as the trainer, resolves it from the scenario's maximum speed.
     """
 
     kind: str = "gcn"  # "gcn" | "gat"
@@ -140,30 +141,20 @@ def init_params(config: GnnConfig, seed: int = 0) -> ParamStore:
         else:
             last = layer == config.layers - 1
             d_head = 1 if last else d_out // config.heads
-            for head in range(config.heads):
-                prefix = f"layer{layer}.head{head}"
-                arrays[f"{prefix}.weight"] = _glorot(rng, d_in, d_head, (d_in, d_head))
-                arrays[f"{prefix}.att_src"] = _glorot(rng, d_head, 1, (d_head, 1))
-                arrays[f"{prefix}.att_dst"] = _glorot(rng, d_head, 1, (d_head, 1))
+            # drawn head by head (weight, att_src, att_dst), then stacked over heads
+            draws = [
+                (
+                    _glorot(rng, d_in, d_head, (d_in, d_head)),
+                    _glorot(rng, d_head, 1, d_head),
+                    _glorot(rng, d_head, 1, d_head),
+                )
+                for _ in range(config.heads)
+            ]
+            weights, att_src, att_dst = zip(*draws)
+            arrays[f"layer{layer}.weight"] = np.stack(weights, axis=1)  # (d_in, heads, d_head)
+            arrays[f"layer{layer}.att_src"] = np.stack(att_src)  # (heads, d_head)
+            arrays[f"layer{layer}.att_dst"] = np.stack(att_dst)
     return ParamStore(arrays)
-
-
-@lru_cache(maxsize=16)
-def _mean_matrix(indptr: bytes, actions: bytes) -> np.ndarray:
-    """Dense mean-aggregation matrix of a dual graph's action table, given as bytes.
-
-    Row i averages over i and i's action row, so rows are never empty and the
-    nonzeros are exactly the dual's edges. Keyed on content, so equal tables
-    built by separate calls share one cache entry.
-    """
-    offsets = np.frombuffer(indptr, dtype=np.intp)
-    n = len(offsets) - 1
-    mean = np.zeros((n, n), dtype=np.float64)
-    mean[np.repeat(np.arange(n), np.diff(offsets)), np.frombuffer(actions, dtype=np.intp)] = 1.0
-    np.fill_diagonal(mean, 1.0)
-    mean /= mean.sum(axis=1, keepdims=True)
-    mean.setflags(write=False)
-    return mean
 
 
 def _normalize_features(config: GnnConfig, features: np.ndarray) -> np.ndarray:
@@ -183,58 +174,55 @@ def forward_graph(
 ) -> Tensor:
     """Differentiable forward pass; returns per-road Q values with graph attached.
 
-    Pass `capture` (a dict) to receive the per-layer GAT attention matrices
-    under the key "attention" as plain arrays.
+    Pass `capture` (a dict) to receive the neighbourhood arrays under "indptr"
+    and "src" and, for GAT, one per-edge attention array `(edges, heads)` per
+    layer under "attention", all as plain arrays.
     """
     config = config.validated()
     features = np.asarray(features, dtype=np.float64)
-    if features.shape != (dual.node_count, IN_FEATURES):
+    n = dual.node_count
+    if features.shape != (n, IN_FEATURES):
         raise ValueError(
-            f"features shape {features.shape} does not match "
-            f"({dual.node_count}, {IN_FEATURES})"
+            f"features shape {features.shape} does not match ({n}, {IN_FEATURES})"
         )
-    mean_mat = _mean_matrix(dual.indptr.tobytes(), dual.actions.tobytes())
-    x = _normalize_features(config, features)
+    indptr, src = neighbourhoods(dual.indptr, dual.actions)
+    degree = np.diff(indptr)
+    if capture is not None:
+        capture.update(indptr=indptr, src=src)
+    h = _normalize_features(config, features)
 
     if config.kind == "gcn":
-        h = x
+        inv_degree = (1.0 / degree)[:, None]
         for layer in range(config.layers):
             w = Tensor(params[f"layer{layer}.weight"], name=f"layer{layer}.weight")
-            z = h @ w
-            agg = mean_mat @ z
+            agg = segment_sum((h @ w)[src], indptr) * inv_degree
             h = agg.sigmoid() if layer == config.layers - 1 else agg.relu()
-        return h.reshape(dual.node_count)
+        return h.reshape(n)
 
-    h = x
-    n = dual.node_count
-    mask_bias = np.where(mean_mat > 0.0, 0.0, -1e9)  # added to attention logits off the edges
+    dst = np.repeat(np.arange(n), degree)
+    heads = config.heads
     for layer in range(config.layers):
-        last = layer == config.layers - 1
-        head_outputs = []
-        for head in range(config.heads):
-            prefix = f"layer{layer}.head{head}"
-            w = Tensor(params[f"{prefix}.weight"], name=f"{prefix}.weight")
-            a_src = Tensor(params[f"{prefix}.att_src"], name=f"{prefix}.att_src")
-            a_dst = Tensor(params[f"{prefix}.att_dst"], name=f"{prefix}.att_dst")
-            z = h @ w  # (n, d_head)
-            s_src = (z @ a_src).reshape(1, n)
-            s_dst = (z @ a_dst).reshape(n, 1)
-            logits = (s_dst + s_src).leaky_relu(config.leaky_slope) + mask_bias
-            # subtracting the detached row max leaves the softmax (and its
-            # gradient) unchanged while keeping exp() in range
-            row_max = logits.values.max(axis=1, keepdims=True)
-            weights = (logits - row_max).exp()
-            attention = weights / weights.sum(axis=1, keepdims=True)
-            if capture is not None:
-                capture.setdefault("attention", []).append(attention.values.copy())
-            head_outputs.append(attention @ z)
-        if last:
-            total = head_outputs[0]
-            for extra in head_outputs[1:]:
-                total = total + extra
-            h = (total * (1.0 / config.heads)).sigmoid()
+        prefix = f"layer{layer}"
+        w = Tensor(params[f"{prefix}.weight"], name=f"{prefix}.weight")
+        a_src = Tensor(params[f"{prefix}.att_src"], name=f"{prefix}.att_src")
+        a_dst = Tensor(params[f"{prefix}.att_dst"], name=f"{prefix}.att_dst")
+        d_in, _, d_head = w.shape
+        z = (h @ w.reshape(d_in, heads * d_head)).reshape(n, heads, d_head)
+        score_src = (z * a_src).sum(axis=2)  # (n, heads)
+        score_dst = (z * a_dst).sum(axis=2)
+        logits = (score_dst[dst] + score_src[src]).leaky_relu(config.leaky_slope)
+        # subtracting the detached segment max leaves the softmax (and its
+        # gradient) unchanged while keeping exp() in range
+        shift = np.maximum.reduceat(logits.values, indptr[:-1], axis=0)
+        weights = (logits - shift[dst]).exp()
+        attention = weights / segment_sum(weights, indptr)[dst]  # (edges, heads)
+        if capture is not None:
+            capture.setdefault("attention", []).append(attention.values.copy())
+        agg = segment_sum(attention.reshape(len(src), heads, 1) * z[src], indptr)
+        if layer == config.layers - 1:
+            h = (agg.sum(axis=1) * (1.0 / heads)).sigmoid()
         else:
-            h = concat(head_outputs, axis=1).relu()
+            h = agg.reshape(n, heads * d_head).relu()
     return h.reshape(n)
 
 
@@ -315,7 +303,11 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path) -> tuple[GnnConfig, ParamStore, dict]:
-    """Read a checkpoint; its arrays must match `init_params(config)` in names and shapes."""
+    """Read a checkpoint; its arrays must match `init_params(config)` in names and shapes.
+
+    Only the current version loads: a version-1 file (one GAT array per head)
+    raises `CheckpointError` like any other foreign file.
+    """
     try:
         payload = json.loads(Path(path).read_text())
     except ValueError as exc:  # malformed JSON or text

@@ -14,6 +14,7 @@ __all__ = [
     "validate",
     "successors",
     "build_dual_graph",
+    "neighbourhoods",
 ]
 
 
@@ -61,8 +62,9 @@ class DualGraph:
     Road j's relocation choices are `actions[indptr[j]:indptr[j + 1]]`: its
     successors in the ORIGINAL orientation, ascending, or just j at a dead end.
     The arrays are read-only and shared by every policy built on this graph.
-    Road j's GNN neighbourhood is j plus that row: the dual's edges reverse each
-    consecutive pair of roads a -> b into b -> a, plus one self-loop per road.
+    Road j's GNN neighbourhood (`neighbourhoods`) is j plus that row: the dual's
+    edges reverse each consecutive pair of roads a -> b into b -> a, plus one
+    self-loop per road.
     """
 
     node_count: int
@@ -72,9 +74,27 @@ class DualGraph:
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Sorted (src, dst) message pairs: road dst hears itself and its actions."""
-        dst = np.repeat(np.arange(self.node_count), np.diff(self.indptr))
-        pairs = set(zip(self.actions.tolist(), dst.tolist()))
-        return tuple(sorted(pairs | {(j, j) for j in range(self.node_count)}))
+        indptr, src = neighbourhoods(self.indptr, self.actions)
+        dst = np.repeat(np.arange(self.node_count), np.diff(indptr))
+        return tuple(sorted(zip(src.tolist(), dst.tolist())))
+
+
+def neighbourhoods(indptr: np.ndarray, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GNN neighbourhoods of an action table as dst-sorted CSR arrays.
+
+    Road j hears `src[nbr_indptr[j]:nbr_indptr[j + 1]]`: j itself and its
+    action row, ascending, with j counted once where the row already lists it
+    (a dead end or a loop road). Returns `(nbr_indptr, src)`; no row is empty.
+    """
+    n = len(indptr) - 1
+    roads = np.arange(n)
+    dst = np.repeat(roads, np.diff(indptr))
+    listed = actions != dst
+    dst = np.concatenate([roads, dst[listed]])
+    src = np.concatenate([roads, actions[listed]])
+    src = src[np.lexsort((src, dst))]
+    nbr_indptr = np.concatenate([[0], np.cumsum(np.bincount(dst, minlength=n))]).astype(np.intp)
+    return nbr_indptr, src
 
 
 def validate(network: RoadNetwork) -> list[str]:

@@ -76,9 +76,14 @@ class Order:
 
 @dataclass
 class Counters:
+    """Running totals since the world was initialized."""
+
     orders_generated: int = 0
     orders_served: int = 0
     orders_expired: int = 0
+    relocations: int = 0  # controllable drivers sampled by `relocate`, stays included
+    drivers_added: int = 0
+    drivers_removed: int = 0
 
 
 @dataclass(frozen=True)
@@ -285,6 +290,7 @@ def relocate(
     for d, road, position in zip(movers, targets, draws[:, 1].tolist()):
         d.road = road
         d.position = position
+    world.counters.relocations += len(movers)
     return {d.driver_id: d.road for d in movers}
 
 
@@ -341,11 +347,13 @@ def rebalance_drivers(world: WorldState, target_total: int) -> int:
         for _ in range(delta):
             road = int(world.rng.integers(world.network.n_roads))
             world.new_driver(road, float(world.rng.uniform()))
+        world.counters.drivers_added += delta
     elif delta < 0:
         idle = [d for d in world.drivers if d.idle]
         drop_idx = world.rng.choice(len(idle), size=-delta, replace=False)
         doomed = {idle[int(i)].driver_id for i in drop_idx}
         world.drivers = [d for d in world.drivers if d.driver_id not in doomed]
+        world.counters.drivers_removed -= delta
     return delta
 
 

@@ -26,6 +26,16 @@ def random_network(rng: np.random.Generator, max_roads: int = 30) -> RoadNetwork
     return RoadNetwork.from_edges(range(n_nodes), edges)
 
 
+def network_with_loops(rng: np.random.Generator, max_roads: int = 14) -> RoadNetwork:
+    """Random network where loop roads, parallel roads and dead ends all occur."""
+    n_nodes = int(rng.integers(2, 7))
+    edges = [
+        (int(rng.integers(n_nodes)), int(rng.integers(n_nodes)), float(rng.uniform(100, 900)))
+        for _ in range(int(rng.integers(1, max_roads + 1)))
+    ]
+    return RoadNetwork.from_edges(range(n_nodes), edges)
+
+
 def two_path_pairs(network: RoadNetwork) -> set[tuple[int, int]]:
     """Brute-force enumeration of consecutive road pairs (a, b) in the network."""
     pairs = set()

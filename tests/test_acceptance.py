@@ -8,6 +8,7 @@ greedy > random on a desk-scale city), is pending: it is not in this file yet
 """
 
 import time
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -184,6 +185,7 @@ class TestCriterion6SimulatorConservation:
 
             def run(world_seed):
                 world = sim.init_world(net, scn, seed=world_seed)
+                initial = world.total_drivers()
                 trace = []
                 closure = {
                     j: {j, *successors(net, j)} for j in range(n_roads)
@@ -195,6 +197,7 @@ class TestCriterion6SimulatorConservation:
                     target = int(series[min(world.time, len(series) - 1)])
                     assert world.total_drivers() == target
                     c = world.counters
+                    assert target == initial + c.drivers_added - c.drivers_removed
                     assert c.orders_served <= c.orders_generated
                     open_orders = sum(len(q) for q in world.queues)
                     assert c.orders_generated == c.orders_served + c.orders_expired + open_orders
@@ -206,13 +209,14 @@ class TestCriterion6SimulatorConservation:
                         assert (s.reward == 1) == s.terminated
                         if s.driver_id in idle_before:
                             assert s.road_after_move in closure[before[s.driver_id][0]]
-                    trace.append((outcome, c.orders_generated, c.orders_served, c.orders_expired))
+                    trace.append((outcome, astuple(c)))
                 return trace
 
             assert run(1000 + seed) == run(1000 + seed)  # bit-identical replay
         report(
             "6",
-            "3 seeds x 100 steps: fleet matches target, served <= generated, "
+            "3 seeds x 100 steps: fleet matches target "
+            "and initial + added - removed, served <= generated, "
             "generated == served + expired + open, reward<=>terminated, <=1 transition per step, bit-identical replays",
         )
 

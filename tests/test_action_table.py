@@ -1,10 +1,10 @@
 """The dual graph's action table against frozen per-road loops.
 
-Policy rows, TD targets, soft targets, relocation and the GNN's dense
-mean-aggregation matrix all read `DualGraph.indptr` / `DualGraph.actions`. The
-oracles below are the per-road and per-driver loops those consumers replaced,
-kept verbatim in behaviour; each reads its action lists from
-`roadnet.successors`, independently of the table.
+Policy rows, TD targets, soft targets, relocation and the GNN's neighbourhood
+table all read `DualGraph.indptr` / `DualGraph.actions`. The oracles below are
+the per-road and per-driver loops those consumers replaced, kept verbatim in
+behaviour; each reads its action lists from `roadnet.successors`,
+independently of the table.
 """
 
 import copy
@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 
 from fleetlab import sim
-from fleetlab.gnn.qnet import _mean_matrix
 from fleetlab.marl import Policy, PolicyKind, policy_from_q, soft_td_targets, td_targets
-from fleetlab.roadnet import RoadNetwork, build_dual_graph, successors
+from fleetlab.roadnet import RoadNetwork, build_dual_graph, neighbourhoods, successors
 from fleetlab.scenario import Scenario
 from fleetlab.sim import Observation, TransitionSample
+
+from conftest import network_with_loops
 
 KINDS = [
     PolicyKind("random"),
@@ -121,29 +122,13 @@ def oracle_relocate(world, policy, controllable_ids):
     return assignments
 
 
-def mean_matrix(dual):
-    return _mean_matrix(dual.indptr.tobytes(), dual.actions.tobytes())
-
-
-def oracle_mean_matrix(dual):
-    n = dual.node_count
-    adj = np.zeros((n, n))
-    for src, dst in dual.edges:
-        adj[dst, src] = 1.0
-    return adj / adj.sum(axis=1, keepdims=True)
+def oracle_neighbourhoods(net):
+    """Per-road edge loop: road j hears itself and each successor, ascending, once."""
+    rows = [sorted({j, *successors(net, j)}) for j in range(net.n_roads)]
+    return np.cumsum([0, *map(len, rows)]), np.concatenate(rows)
 
 
 # -- inputs --------------------------------------------------------------------
-
-
-def network_with_loops(rng, max_roads=14):
-    """Random network where loop roads, parallel roads and dead ends all occur."""
-    n_nodes = int(rng.integers(2, 7))
-    edges = [
-        (int(rng.integers(n_nodes)), int(rng.integers(n_nodes)), float(rng.uniform(100, 900)))
-        for _ in range(int(rng.integers(1, max_roads + 1)))
-    ]
-    return RoadNetwork.from_edges(range(n_nodes), edges)
 
 
 def random_inputs(rng, net):
@@ -210,14 +195,21 @@ class TestAgainstPerRoadOracles:
                     )
         assert loops and dead_ends and ties  # the inputs exercise every special case
 
-    def test_mean_matrix_matches_edge_loop_and_is_shared(self):
+    def test_neighbourhoods_match_successor_loop(self):
         rng = np.random.default_rng(4242)
-        for _ in range(20):
+        loops = dead_ends = 0
+        for _ in range(50):
             net = network_with_loops(rng)
             dual = build_dual_graph(net)
-            mean = mean_matrix(dual)
-            assert np.array_equal(mean, oracle_mean_matrix(dual))
-            assert mean_matrix(build_dual_graph(net)) is mean  # equal tables share one entry
+            loops += sum(r.from_node == r.to_node for r in net.roads)
+            dead_ends += sum(not successors(net, j) for j in range(net.n_roads))
+            indptr, src = neighbourhoods(dual.indptr, dual.actions)
+            want_indptr, want_src = oracle_neighbourhoods(net)
+            assert np.array_equal(indptr, want_indptr) and np.array_equal(src, want_src)
+            assert indptr.dtype == src.dtype == np.intp
+            dst = np.repeat(np.arange(net.n_roads), np.diff(want_indptr))
+            assert dual.edges == tuple(sorted(zip(want_src.tolist(), dst.tolist())))
+        assert loops and dead_ends
 
 
 def relocation_world(seed, n_drivers=3000):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fleetlab.gnn import Tensor, backward, concat
+from fleetlab.gnn import Tensor, backward, segment_sum
 
 from conftest import central_difference
 
@@ -106,13 +106,35 @@ class TestFiniteDifferenceOracle:
         x0[np.abs(x0) < 0.1] = 0.5
         fd_check(loss, x0)
 
-    def test_concat_and_reshape(self, rng):
-        def loss(x):
-            a = x * 2.0
-            b = x**2.0
-            return concat([a, b], axis=1).reshape(-1).sum()
+    @pytest.mark.parametrize("shape", [(7, 3), (7, 2, 3)], ids=["2d", "3d"])
+    def test_segment_sum_with_length_one_segments(self, rng, shape):
+        indptr = np.array([0, 1, 4, 5, 7])  # lengths 1, 3, 1, 2
+        weights = rng.normal(size=(4, *shape[1:]))
 
-        fd_check(loss, rng.normal(size=(3, 2)))
+        def loss(x):
+            return (segment_sum(x * x, indptr) * weights).sum()
+
+        fd_check(loss, rng.normal(size=shape))
+
+    @pytest.mark.parametrize("shape", [(5, 3), (5, 2, 3)], ids=["2d", "3d"])
+    def test_row_gather_with_repeated_indices(self, rng, shape):
+        idx = np.array([0, 2, 2, 1, 2, 0, 4])  # row 3 never gathered
+        weights = rng.normal(size=(len(idx), *shape[1:]))
+
+        def loss(x):
+            return ((x[idx] ** 2.0) * weights).reshape(-1).sum()
+
+        fd_check(loss, rng.normal(size=shape))
+        grad = grad_of(loss, np.ones(shape))
+        assert np.array_equal(grad[3], np.zeros(shape[1:]))
+
+    def test_segment_sum_values_and_bad_segments(self):
+        x = Tensor(np.arange(12.0).reshape(4, 3))
+        out = segment_sum(x, np.array([0, 1, 4]))
+        assert np.array_equal(out.values, [[0.0, 1.0, 2.0], [18.0, 21.0, 24.0]])
+        for bad in ([0, 0, 4], [0, 2, 3], [1, 4]):  # empty segment, rows left over, offset start
+            with pytest.raises(ValueError):
+                segment_sum(x, np.array(bad))
 
     def test_rsub_and_neg(self, rng):
         def loss(x):

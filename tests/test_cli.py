@@ -194,6 +194,37 @@ class TestEval:
         )
         assert rc == EXIT_DATA
 
+    def test_version_one_gat_checkpoint_is_data_error(self, tmp_path, capsys):
+        city = run_gen(tmp_path)
+        path = tmp_path / "checkpoint.json"
+        cfg = GnnConfig(kind="gat", layers=2, hidden_dim=4, heads=2)
+        params = init_params(cfg)
+        save_checkpoint(path, cfg, params, meta={"policy_name": "pow"})
+        payload = json.loads(path.read_text())
+        # the version-1 layout held one weight and two (d_head, 1) vectors per head
+        payload["version"] = 1
+        payload["arrays"] = [
+            {"name": f"layer{layer}.head{head}.{part}", "shape": list(a.shape),
+             "values": a.ravel().tolist()}
+            for layer in range(cfg.layers)
+            for head in range(cfg.heads)
+            for part, a in (
+                ("weight", params[f"layer{layer}.weight"][:, head]),
+                ("att_src", params[f"layer{layer}.att_src"][head][:, None]),
+                ("att_dst", params[f"layer{layer}.att_dst"][head][:, None]),
+            )
+        ]
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        rc = main(
+            ["eval", "--scenario-dir", str(city), "--checkpoint", str(path),
+             "--steps", "5", "--out", str(tmp_path / "t.csv")]
+        )
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "version 1" in err
+        assert "Traceback" not in err
+
     def test_nothing_to_evaluate_is_usage_error(self, tmp_path):
         city = run_gen(tmp_path)
         rc = main(

@@ -1,5 +1,9 @@
 """Q-network checks: closed forms, gradient oracles, equivariance, parameter ops."""
 
+import gc
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -16,9 +20,9 @@ from fleetlab.gnn import (
     save_checkpoint,
     sgd_step,
 )
-from fleetlab.roadnet import RoadNetwork, build_dual_graph
+from fleetlab.roadnet import RoadNetwork, build_dual_graph, successors
 
-from conftest import central_difference, random_network
+from conftest import central_difference, network_with_loops, random_network
 
 
 def unscaled(**kwargs) -> GnnConfig:
@@ -126,20 +130,88 @@ class TestGatAttention:
     def test_attention_rows_sum_to_one_over_predecessors(self, rng):
         cfg = unscaled(kind="gat", layers=2, hidden_dim=8, heads=2)
         for _ in range(5):
-            net = random_network(rng, max_roads=12)
+            net = network_with_loops(rng, max_roads=12)
             dual = build_dual_graph(net)
             params = init_params(cfg, seed=int(rng.integers(1000)))
             capture = {}
             forward_graph(cfg, params, dual, rng.normal(size=(net.n_roads, 3)), capture=capture)
-            assert capture["attention"], "no attention matrices captured"
-            in_neighbors = {dst: set() for dst in range(dual.node_count)}
-            for src, dst in dual.edges:
-                in_neighbors[dst].add(src)
+            indptr, src = capture["indptr"], capture["src"]
+            assert len(capture["attention"]) == cfg.layers
             for att in capture["attention"]:
-                np.testing.assert_allclose(att.sum(axis=1), 1.0, atol=1e-9)
-                for dst in range(dual.node_count):
-                    off = [s for s in range(dual.node_count) if s not in in_neighbors[dst]]
-                    assert np.all(att[dst, off] == 0.0)
+                assert att.shape == (len(src), cfg.heads)
+                assert (att > 0.0).all()
+            for dst in range(net.n_roads):
+                heard = src[indptr[dst] : indptr[dst + 1]]
+                # exactly road dst's neighbourhood: itself and its successors, once each
+                assert sorted(heard.tolist()) == sorted({dst, *successors(net, dst)})
+                for att in capture["attention"]:
+                    np.testing.assert_allclose(
+                        att[indptr[dst] : indptr[dst + 1]].sum(axis=0), 1.0, rtol=0, atol=1e-12
+                    )
+
+
+def ring_dual(n_roads):
+    nodes = range(n_roads)
+    return build_dual_graph(
+        RoadNetwork.from_edges(nodes, [(i, (i + 1) % n_roads, 100.0) for i in nodes])
+    )
+
+
+class TestMemory:
+    def test_gat_forward_on_five_thousand_roads_stays_sparse(self):
+        # one dense 5,000 x 5,000 float64 array alone would take 200 MB
+        cfg = unscaled(kind="gat", layers=2, hidden_dim=32, heads=4)
+        dual = ring_dual(5000)
+        params = init_params(cfg, seed=0)
+        features = np.random.default_rng(0).normal(size=(5000, 3))
+        tracemalloc.start()
+        try:
+            q = forward_graph(cfg, params, dual, features)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert q.shape == (5000,)
+        assert peak < 50 * 2**20, f"forward_graph peaked at {peak / 2**20:.1f} MB"
+
+
+def graph_refs(root):
+    """Weak references to every node of the graph that produced `root`."""
+    refs, stack, seen = [], [root], set()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        refs.append(weakref.ref(node))
+        stack.extend(node._parents)
+    return refs
+
+
+class TestGraphLifetime:
+    """A graph is freed by reference counting alone, without the cycle collector."""
+
+    @pytest.mark.parametrize("kind,heads", [("gcn", 1), ("gat", 2)])
+    @pytest.mark.parametrize("run_backward", [False, True])
+    def test_dropping_the_result_frees_every_node(self, rng, kind, heads, run_backward):
+        cfg = unscaled(kind=kind, layers=2, hidden_dim=4, heads=heads)
+        net = network_with_loops(rng)
+        dual = build_dual_graph(net)
+        params = init_params(cfg, seed=1)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            q = forward_graph(cfg, params, dual, rng.normal(size=(net.n_roads, 3)))
+            if run_backward:
+                q = ((q - 0.5) ** 2.0).sum()
+                grads = backward(q)
+                assert set(grads) == set(params.names())
+            refs = graph_refs(q)
+            assert len(refs) > 10 and all(ref() is not None for ref in refs)
+            del q
+            assert all(ref() is None for ref in refs)
+        finally:
+            if enabled:
+                gc.enable()
 
 
 def max_relative_gradient_error(cfg, dual, features, params, targets):

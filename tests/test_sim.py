@@ -134,6 +134,7 @@ class TestRelocate:
         moved = sim.relocate(world, stay_policy(net), ids)
         assert set(moved.values()) == {1}  # road 0 has the single successor 1
         assert all(d.road == 1 for d in world.drivers)
+        assert world.counters.relocations == 4
 
     def test_dead_end_driver_stays_with_fresh_position(self):
         net = chain_network()
@@ -144,6 +145,7 @@ class TestRelocate:
         ids = sim.advance_drivers(world)
         moved = sim.relocate(world, stay_policy(net), ids)
         assert moved == {d.driver_id: 2}
+        assert world.counters.relocations == 1  # a dead-end stay counts as a relocation
         assert d.road == 2 and d.position != before
 
     def test_even_split_law_of_large_numbers(self):
@@ -245,6 +247,7 @@ class TestRebalance:
         world = sim.init_world(net, make_scenario(3, initial=[90, 0, 0]), seed=0)
         assert sim.rebalance_drivers(world, 100) == 10
         assert world.total_drivers() == 100
+        assert (world.counters.drivers_added, world.counters.drivers_removed) == (10, 0)
 
     def test_shrinks_but_never_removes_serving(self):
         net = chain_network()
@@ -255,6 +258,7 @@ class TestRebalance:
         assert sim.rebalance_drivers(world, 80) == -10
         assert world.total_drivers() == 80
         assert world.serving_count() == 5
+        assert (world.counters.drivers_added, world.counters.drivers_removed) == (0, 10)
 
     def test_noop_when_matching(self):
         net = chain_network()
