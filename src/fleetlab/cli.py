@@ -29,6 +29,42 @@ EXIT_DATA = 3
 EXIT_RUNTIME = 4
 
 DRIVER_SCALE_PRESETS = (1.0, 0.5, 0.2)
+BASELINES = ("random", "proportional")
+
+
+def _checked(convert, ok, requirement: str):
+    """An argparse `type=` that converts one value and range-checks it."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not {requirement}")
+
+    return parse
+
+
+def _comma_list(item, count: int | None = None, allow_empty: bool = False):
+    """An argparse `type=` for a comma list whose entries each pass `item`."""
+
+    def parse(text: str) -> list:
+        if allow_empty and not text.strip():
+            return []
+        values = [item(part.strip()) for part in text.split(",")]
+        if count is not None and len(values) != count:
+            raise argparse.ArgumentTypeError(f"{text!r} does not hold {count} values")
+        return values
+
+    return parse
+
+
+_positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
+_non_negative_int = _checked(int, lambda v: v >= 0, "a non-negative integer")
+_non_negative_float = _checked(float, lambda v: 0 <= v < float("inf"), "a finite number >= 0")
+_baseline = _checked(str, lambda v: v in BASELINES, f"one of {','.join(BASELINES)}")
 
 
 def _print_config(command: str, values: dict) -> None:
@@ -37,6 +73,14 @@ def _print_config(command: str, values: dict) -> None:
 
 def _policy_kind(args) -> marl.PolicyKind:
     return marl.PolicyKind(args.policy, beta=args.beta, epsilon=args.epsilon)
+
+
+def _from_meta(path, read):
+    """Read a value from a checkpoint's meta block; a bad value is a data error."""
+    try:
+        return read()
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise CheckpointError(f"{path}: bad meta entry ({exc})") from exc
 
 
 def _world_factory(network, scn, base_seed, order_expiry=sim.DEFAULT_ORDER_EXPIRY):
@@ -90,7 +134,9 @@ def cmd_train(args) -> int:
     start_epoch = 0
     if args.resume:
         gnn_config, params, meta = load_checkpoint(args.resume)
-        start_epoch = int(meta.get("epochs_completed", 0))
+        start_epoch = _from_meta(args.resume, lambda: int(meta.get("epochs_completed", 0)))
+        if start_epoch < 0:
+            raise CheckpointError(f"{args.resume}: negative epochs_completed {start_epoch}")
         print(f"resuming from {args.resume} at epoch {start_epoch}")
     _print_config(
         "train",
@@ -145,22 +191,21 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     network, scn = scenario.load_scenario_dir(args.scenario_dir, graph_path=args.graph)
     dual = build_dual_graph(network)
-    seeds = [int(s) for s in args.seeds.split(",")]
-    scales = [float(s) for s in args.driver_scales.split(",")]
+    seeds, scales = args.seeds, args.driver_scales
     methods: list[tuple[str, callable]] = []
-    for name in filter(None, (args.baselines or "").split(",")):
-        kind = marl.PolicyKind(name.strip())
+    for name in args.baselines:
+        kind = marl.PolicyKind(name)
         methods.append((kind.label(), marl.make_policy_provider(kind, dual)))
     for path in args.checkpoint or []:
         cfg, params, meta = load_checkpoint(path)
-        kind = marl.PolicyKind(
-            meta.get("policy_name", "greedy"),
+        kind = _from_meta(path, lambda: marl.PolicyKind(
+            str(meta.get("policy_name", "greedy")),
             beta=float(meta.get("beta", 1.0)),
             epsilon=float(meta.get("epsilon", 0.1)),
-        )
+        ))
         methods.append(
             (
-                meta.get("policy", Path(path).stem),
+                str(meta.get("policy", Path(path).stem)),
                 marl.make_policy_provider(kind, dual, gnn_config=cfg, params=params),
             )
         )
@@ -212,8 +257,8 @@ def cmd_toy(args) -> int:
     grid = np.logspace(np.log10(args.beta_min), np.log10(args.beta_max), args.points)
     families = toylab.FAMILIES if args.family == "both" else (args.family,)
     config = toylab.ToyConfig(
-        drivers=tuple(float(x) for x in args.drivers.split(",")),
-        calls=tuple(float(x) for x in args.calls.split(",")),
+        drivers=tuple(args.drivers),
+        calls=tuple(args.calls),
     )
     _print_config(
         "toy",
@@ -250,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate a synthetic city and demand scenario")
     gen.add_argument("--roads", type=int, default=50)
-    gen.add_argument("--steps", type=int, default=240)
+    gen.add_argument("--steps", type=_positive_int, default=240)
     gen.add_argument("--mean-calls", type=float, default=0.05, help="calls per road per step")
     gen.add_argument("--hotspot-frac", type=float, default=0.1)
     gen.add_argument("--hotspot-boost", type=float, default=4.0)
@@ -258,14 +303,14 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--duration-min", type=int, default=5)
     gen.add_argument("--duration-max", type=int, default=15)
     gen.add_argument("--speed", type=float, default=scenario.DEFAULT_SPEED)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=_non_negative_int, default=0)
     gen.add_argument("--out", type=Path, required=True)
     gen.set_defaults(func=cmd_gen)
 
     def add_common(p):
         p.add_argument("--scenario-dir", type=Path, required=True)
         p.add_argument("--graph", type=Path, default=None, help="override graph.json path")
-        p.add_argument("--order-expiry", type=int, default=sim.DEFAULT_ORDER_EXPIRY)
+        p.add_argument("--order-expiry", type=_non_negative_int, default=sim.DEFAULT_ORDER_EXPIRY)
 
     train = sub.add_parser("train", help="train a GNN Q network on a scenario")
     add_common(train)
@@ -282,28 +327,38 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--epsilon", type=float, default=0.1)
     train.add_argument("--gamma", type=float, default=0.9)
     train.add_argument("--epochs", type=int, default=5)
-    train.add_argument("--steps", type=int, default=None, help="steps per epoch (default: horizon)")
+    train.add_argument(
+        "--steps", type=_positive_int, default=None, help="steps per epoch (default: horizon)"
+    )
     train.add_argument("--lr", type=float, default=1e-3)
     train.add_argument("--sync-every", type=int, default=100)
     train.add_argument("--optimizer", choices=("sgd", "adam"), default="sgd")
     train.add_argument("--driver-scale", type=float, default=1.0)
-    train.add_argument("--seed", type=int, default=0)
+    train.add_argument("--seed", type=_non_negative_int, default=0)
     train.add_argument("--resume", type=Path, default=None)
     train.add_argument("--out", type=Path, required=True)
     train.set_defaults(func=cmd_train)
 
     ev = sub.add_parser("eval", help="evaluate baselines and checkpoints on a scenario")
     add_common(ev)
-    ev.add_argument("--baselines", default="", help="comma list from: random,proportional")
+    ev.add_argument(
+        "--baselines",
+        type=_comma_list(_baseline, allow_empty=True),
+        default=[],
+        help=f"comma list from: {','.join(BASELINES)}",
+    )
     ev.add_argument("--checkpoint", type=Path, action="append")
     ev.add_argument(
         "--driver-scales",
-        default="1.0",
+        type=_comma_list(_non_negative_float),
+        default=[1.0],
         help=f"comma list of fleet fractions, presets {DRIVER_SCALE_PRESETS}",
     )
-    ev.add_argument("--seeds", default="0", help="comma list of world seeds")
-    ev.add_argument("--episodes", type=int, default=1)
-    ev.add_argument("--steps", type=int, default=None)
+    ev.add_argument(
+        "--seeds", type=_comma_list(_non_negative_int), default=[0], help="comma list of world seeds"
+    )
+    ev.add_argument("--episodes", type=_positive_int, default=1)
+    ev.add_argument("--steps", type=_positive_int, default=None)
     ev.add_argument("--out", type=Path, required=True)
     ev.set_defaults(func=cmd_eval)
 
@@ -312,8 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     toy.add_argument("--beta-min", type=float, default=0.01)
     toy.add_argument("--beta-max", type=float, default=100.0)
     toy.add_argument("--points", type=int, default=60)
-    toy.add_argument("--drivers", default="10,0")
-    toy.add_argument("--calls", default="3,7")
+    toy.add_argument("--drivers", type=_comma_list(_non_negative_float, 2), default=[10.0, 0.0])
+    toy.add_argument("--calls", type=_comma_list(_non_negative_float, 2), default=[3.0, 7.0])
     toy.add_argument("--out", type=Path, default=Path("toy_sweep.csv"))
     toy.set_defaults(func=cmd_toy)
     return parser

@@ -200,6 +200,7 @@ class Tensor:
         v = self.values
         # evaluate on the side that keeps exp() from overflowing
         s = np.where(v >= 0.0, 1.0 / (1.0 + np.exp(-np.abs(v))), np.exp(-np.abs(v)) / (1.0 + np.exp(-np.abs(v))))
+        s = np.maximum(s, np.finfo(np.float64).tiny)  # exp underflows below v = -745; stay > 0
         return _node(s, (self,), lambda g: self._accumulate(g * s * (1.0 - s)))
 
 

@@ -67,6 +67,14 @@ class GnnConfig:
             raise ValueError("layers must be >= 1")
         if self.heads < 1:
             raise ValueError("heads must be >= 1")
+        speed_scale = 1.0 if self.speed_scale is None else self.speed_scale
+        numbers = {"count_scale": self.count_scale, "speed_scale": speed_scale,
+                   "leaky_slope": self.leaky_slope}
+        for name, value in numbers.items():
+            if not isinstance(value, (int, float)) or not np.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        if self.count_scale <= 0 or speed_scale <= 0:
+            raise ValueError("feature scales must be positive")
         if self.kind == "gat" and self.layers > 1 and self.hidden_dim % self.heads:
             raise ValueError(
                 f"hidden_dim {self.hidden_dim} not divisible by heads {self.heads}"
@@ -325,4 +333,7 @@ def load_checkpoint(path: str | Path) -> tuple[GnnConfig, ParamStore, dict]:
         copy_into_target(params, init_params(config))  # raises unless names and shapes match
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: arrays and config do not match ({exc!r})") from exc
-    return config, params, payload.get("meta", {})
+    meta = payload.get("meta", {})
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"{path}: meta is not an object")
+    return config, params, meta

@@ -13,7 +13,7 @@ import csv
 import logging
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .gnn import (
     sgd_step,
 )
 from .roadnet import DualGraph, build_dual_graph
-from .sim import Observation, TransitionSample, WorldState
+from .sim import Observation, Transitions, WorldState
 
 LOG = logging.getLogger(__name__)
 
@@ -71,8 +71,8 @@ class PolicyKind:
     def __post_init__(self):
         if self.name not in POLICY_NAMES:
             raise ValueError(f"unknown policy {self.name!r}, expected one of {POLICY_NAMES}")
-        if self.beta <= 0:
-            raise ValueError("beta must be > 0")
+        if not 0 < self.beta < np.inf:
+            raise ValueError("beta must be finite and > 0")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError("epsilon must be in [0, 1]")
 
@@ -218,16 +218,15 @@ def uniform_policy(dual: DualGraph) -> Policy:
 # -- targets -------------------------------------------------------------
 
 
-def _targets(samples: Sequence[TransitionSample], controlled, pinned, scale: float) -> np.ndarray:
-    """1 if terminated, else scale * (controlled if the agent can leave its road, else pinned)."""
-    fields = [(s.road_after_move, s.was_controllable_next, s.terminated) for s in samples]
-    roads, controllable, terminated = np.array(fields, dtype=np.intp).reshape(-1, 3).T
-    bootstrap = np.where(controllable, controlled[roads], pinned[roads])
-    return np.where(terminated, 1.0, scale * bootstrap)
+def _targets(samples: Transitions, controlled, pinned, scale: float) -> np.ndarray:
+    """1 if served, else scale * (controlled if the agent can leave its road, else pinned)."""
+    roads = samples.road_after_move
+    bootstrap = np.where(samples.controllable_next, controlled[roads], pinned[roads])
+    return np.where(samples.reward == 1, 1.0, scale * bootstrap)
 
 
 def td_targets(
-    samples: Sequence[TransitionSample],
+    samples: Transitions,
     q_next: np.ndarray,
     policy_next: Policy,
     gamma: float,
@@ -247,14 +246,13 @@ def td_targets(
     return _targets(samples, expected, q_next, gamma)
 
 
-def dqn_loss(q_pred, samples: Sequence[TransitionSample], targets: np.ndarray):
+def dqn_loss(q_pred, samples: Transitions, targets: np.ndarray):
     """Summed squared error between targets and predicted Q at each sample's road.
 
     Works on a plain ndarray or on an autodiff Tensor (for the training step);
     samples landing on the same road contribute independent terms.
     """
-    roads = np.array([s.road_after_move for s in samples], dtype=np.intp)
-    diff = q_pred[roads] - np.asarray(targets, dtype=np.float64)
+    diff = q_pred[samples.road_after_move] - np.asarray(targets, dtype=np.float64)
     return (diff**2).sum()
 
 
@@ -280,7 +278,7 @@ def soft_q_target(
 
 
 def soft_td_targets(
-    samples: Sequence[TransitionSample],
+    samples: Transitions,
     q_next: np.ndarray,
     dual: DualGraph,
     beta: float,

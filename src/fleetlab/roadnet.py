@@ -114,6 +114,8 @@ def validate(network: RoadNetwork) -> list[str]:
             violations.append(f"road {road.road_id}: dangling node {road.to_node!r}")
         if not road.length > 0:
             violations.append(f"road {road.road_id}: non-positive length {road.length}")
+        elif road.length == float("inf"):
+            violations.append(f"road {road.road_id}: infinite length")
     return violations
 
 

@@ -18,6 +18,8 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property
+from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -31,6 +33,7 @@ __all__ = [
     "ScenarioReferenceError",
     "ScenarioLengthError",
     "CallRecord",
+    "CallTable",
     "Scenario",
     "SynthParams",
     "DEFAULT_SPEED",
@@ -80,6 +83,23 @@ class CallRecord:
     price: float
 
 
+@dataclass(frozen=True, eq=False)
+class CallTable:
+    """The calls as parallel read-only int arrays, stably sorted by start step.
+
+    Calls opening at step t are rows `opening(t)`, in their scenario order.
+    """
+
+    start_road: np.ndarray
+    end_road: np.ndarray
+    start_time: np.ndarray
+    duration: np.ndarray
+
+    def opening(self, t: int) -> range:
+        lo, hi = np.searchsorted(self.start_time, [t, t + 1])
+        return range(int(lo), int(hi))
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Everything the simulator needs besides the network itself."""
@@ -101,6 +121,19 @@ class Scenario:
             and self.horizon == other.horizon
         )
 
+    @cached_property
+    def call_table(self) -> CallTable:
+        """Built once per scenario and shared by every world that replays it."""
+        columns = [
+            np.fromiter(map(attrgetter(name), self.calls), dtype=np.int64, count=len(self.calls))
+            for name in ("start_road", "end_road", "start_time", "duration")
+        ]
+        order = np.argsort(columns[2], kind="stable")
+        columns = [column[order] for column in columns]
+        for column in columns:
+            column.setflags(write=False)  # shared by every world replaying this scenario
+        return CallTable(*columns)
+
 
 def _check_scenario(network: RoadNetwork, scenario: Scenario, origin: str = "scenario") -> None:
     n = network.n_roads
@@ -118,8 +151,8 @@ def _check_scenario(network: RoadNetwork, scenario: Scenario, origin: str = "sce
             f"{origin}: speed series has shape {scenario.speed_series.shape}, "
             f"expected ({scenario.horizon}, {n})"
         )
-    if not (scenario.speed_series > 0).all():
-        raise ScenarioError(f"{origin}: speeds must be positive")
+    if not ((scenario.speed_series > 0) & np.isfinite(scenario.speed_series)).all():
+        raise ScenarioError(f"{origin}: speeds must be positive and finite")
     if (scenario.initial_idle_per_road < 0).any() or (scenario.total_drivers_series < 0).any():
         raise ScenarioError(f"{origin}: driver counts must be non-negative")
     for i, call in enumerate(scenario.calls):
@@ -128,7 +161,7 @@ def _check_scenario(network: RoadNetwork, scenario: Scenario, origin: str = "sce
             raise ScenarioReferenceError(f"{where}: start road {call.start_road} outside 0..{n - 1}")
         if not 0 <= call.end_road < n:
             raise ScenarioReferenceError(f"{where}: end road {call.end_road} outside 0..{n - 1}")
-        if call.start_time < 0 or call.duration < 1 or call.price < 0:
+        if call.start_time < 0 or not 1 <= call.duration < 2**63 or call.price < 0:
             raise ScenarioError(f"{where}: invalid timing or price")
         if call.start_time >= scenario.horizon:
             raise ScenarioLengthError(
@@ -143,7 +176,7 @@ def load_network(path: str | Path) -> RoadNetwork:
     path = Path(path)
     try:
         data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise ScenarioParseError(f"{path}: invalid JSON ({exc})") from exc
     try:
         nodes = list(data["nodes"])
@@ -151,8 +184,11 @@ def load_network(path: str | Path) -> RoadNetwork:
             (entry["id"], entry["from"], entry["to"], float(entry["length_m"]))
             for entry in data["roads"]
         ]
+        {*nodes, *(end for road in roads for end in road[1:3])}  # node ids must be hashable
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioParseError(f"{path}: malformed graph structure ({exc})") from exc
+    if not all(type(road[0]) is int for road in roads):
+        raise ScenarioParseError(f"{path}: road ids must be integers")
     roads.sort(key=lambda r: r[0])
     network = RoadNetwork.from_edges(nodes, [(u, v, l) for _id, u, v, l in roads])
     declared = [r[0] for r in roads]
@@ -186,8 +222,16 @@ def _read_csv_rows(path: Path, columns: Sequence[str]) -> list[dict]:
                 )
             reader.fieldnames = header  # rows are keyed by the stripped names
             return list(reader)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ScenarioParseError(f"{path}: cannot read ({exc})") from exc
+
+
+def _int64(text: str) -> int:
+    """An integer that fits the int64 arrays driver counts are stored in."""
+    value = int(text)
+    if not -(2**63) <= value < 2**63:
+        raise ValueError(f"{value} does not fit in 64 bits")
+    return value
 
 
 def _parse(path: Path, line: int, value: str, kind, what: str):
@@ -231,7 +275,7 @@ def load_scenario(
         t = _parse(drivers_path, i, row["t"], int, "step")
         if t != i:
             raise ScenarioParseError(f"{drivers_path}, record {i}: steps must run 0,1,2,...")
-        series[i] = _parse(drivers_path, i, row["total"], int, "driver count")
+        series[i] = _parse(drivers_path, i, row["total"], _int64, "driver count")
     horizon = len(series)
 
     speeds = np.full((horizon, n), float(default_speed))
@@ -261,7 +305,7 @@ def load_scenario(
             raise ScenarioReferenceError(
                 f"{initial_path}, record {i}: road {road} outside 0..{n - 1}"
             )
-        initial[road] = _parse(initial_path, i, row["count"], int, "driver count")
+        initial[road] = _parse(initial_path, i, row["count"], _int64, "driver count")
 
     scenario = Scenario(
         initial_idle_per_road=initial,

@@ -3,7 +3,11 @@
 A step advances drivers by road speed, relocates the controllable ones under a
 per-road policy, matches idle drivers to open orders, spawns and expires
 orders, rebalances the fleet to the scheduled total, and emits the next
-observation together with one transition sample per idle agent.
+observation together with one transition per idle agent.
+
+The fleet is held as parallel arrays in fleet order (`road`, `position`,
+`serving_remaining`, `dropoff_road`, `driver_id`); every phase is array
+operations over them, with random draws taken in fleet order.
 """
 
 from __future__ import annotations
@@ -22,11 +26,9 @@ if TYPE_CHECKING:  # imported for annotations only; sim never calls into marl
 
 __all__ = [
     "ConfigurationError",
-    "Driver",
-    "Order",
     "Counters",
     "Observation",
-    "TransitionSample",
+    "Transitions",
     "StepOutcome",
     "WorldState",
     "init_world",
@@ -46,32 +48,6 @@ CHOICE_ATOL = float(np.sqrt(np.finfo(np.float64).eps))  # the row-sum slack rng.
 
 class ConfigurationError(ValueError):
     """Scenario and network disagree, or a scenario precondition is violated."""
-
-
-@dataclass
-class Driver:
-    """A vehicle on a road; serving drivers are opaque until drop-off."""
-
-    driver_id: int
-    road: int
-    position: float  # fraction of road length, in [0, 1)
-    serving_remaining: int = 0  # 0 means idle
-    dropoff_road: int = -1
-
-    @property
-    def idle(self) -> bool:
-        return self.serving_remaining == 0
-
-
-@dataclass(frozen=True)
-class Order:
-    order_id: int
-    start_road: int
-    end_road: int
-    start_time: int
-    duration: int  # steps of service once matched, >= 1
-    price: float  # carried through for data fidelity; rewards are binary
-    expiry: int  # steps the order may wait unserved
 
 
 @dataclass
@@ -107,31 +83,39 @@ class Observation:
 
 
 @dataclass(frozen=True)
-class TransitionSample:
-    """One idle agent's experience from a single step.
+class Transitions:
+    """Every idle agent's experience from one step, one array entry per agent.
 
     `road_after_move` is where the agent ended up after this step's relocation.
-    `was_controllable_next` says whether the agent will be able to leave that
-    road at the next decision point (resolved from its frozen position and the
-    next step's speed), which is the branch the bootstrap value depends on.
+    `controllable_next` says whether the agent will be able to leave that road
+    at the next decision point (resolved from its frozen position and the next
+    step's speed), which is the branch the bootstrap value depends on. A reward
+    of 1 means an order was assigned, which ends the agent's episode.
     """
 
-    driver_id: int
-    road_after_move: int
-    was_controllable_next: bool
-    reward: int  # 1 iff an order was assigned this step
-    terminated: bool  # True exactly when reward == 1
+    driver_id: np.ndarray
+    road_after_move: np.ndarray
+    controllable_next: np.ndarray  # bool
+    reward: np.ndarray  # 0 or 1
+
+    def __len__(self) -> int:
+        return len(self.driver_id)
 
 
 @dataclass(frozen=True)
 class StepOutcome:
-    samples: tuple[TransitionSample, ...]
+    samples: Transitions
     served: int  # orders matched this step
     generated: int  # orders spawned this step
 
 
 class WorldState:
-    """Mutable simulation state; mutate from a single thread only."""
+    """Mutable simulation state; mutate from a single thread only.
+
+    Drivers are parallel arrays in fleet order; a serving driver
+    (`serving_remaining` > 0) is opaque until drop-off at `dropoff_road`.
+    Each road's queue holds `scenario.call_table` rows, oldest first.
+    """
 
     def __init__(
         self,
@@ -145,28 +129,34 @@ class WorldState:
         self.rng = rng
         self.order_expiry = int(order_expiry)
         self.time = 0
-        self.drivers: list[Driver] = []
-        self.queues: list[deque[Order]] = [deque() for _ in range(network.n_roads)]
+        self.length = np.array([r.length for r in network.roads], dtype=np.float64)
+        self.driver_id = np.zeros(0, dtype=np.int64)
+        self.road = np.zeros(0, dtype=np.intp)
+        self.position = np.zeros(0, dtype=np.float64)  # fraction of road length, in [0, 1)
+        self.serving_remaining = np.zeros(0, dtype=np.int64)  # 0 means idle
+        self.dropoff_road = np.zeros(0, dtype=np.intp)
+        self.queues: list[deque[int]] = [deque() for _ in range(network.n_roads)]
         self.speeds = np.asarray(scenario.speed_series[0], dtype=np.float64).copy()
         self.counters = Counters()
         self._next_driver_id = 0
-        self._next_order_id = 0
-        # calls indexed by start step for O(1) spawning
-        self.calls_by_time: dict[int, list] = {}
-        for call in scenario.calls:
-            self.calls_by_time.setdefault(call.start_time, []).append(call)
-
-    def new_driver(self, road: int, position: float) -> Driver:
-        d = Driver(self._next_driver_id, road, position)
-        self._next_driver_id += 1
-        self.drivers.append(d)
-        return d
 
     def total_drivers(self) -> int:
-        return len(self.drivers)
+        return len(self.driver_id)
 
     def serving_count(self) -> int:
-        return sum(1 for d in self.drivers if not d.idle)
+        return int((self.serving_remaining > 0).sum())
+
+    def _add_drivers(self, roads: np.ndarray, positions: np.ndarray) -> None:
+        start, self._next_driver_id = self._next_driver_id, self._next_driver_id + len(roads)
+        self.driver_id = np.append(self.driver_id, np.arange(start, self._next_driver_id))
+        self.road = np.append(self.road, np.asarray(roads, dtype=np.intp))
+        self.position = np.append(self.position, positions)
+        self.serving_remaining = np.append(self.serving_remaining, np.zeros(len(roads), np.int64))
+        self.dropoff_road = np.append(self.dropoff_road, np.full(len(roads), -1, np.intp))
+
+    def _keep_drivers(self, keep: np.ndarray) -> None:
+        for name in ("driver_id", "road", "position", "serving_remaining", "dropoff_road"):
+            setattr(self, name, getattr(self, name)[keep])
 
 
 def init_world(
@@ -189,91 +179,81 @@ def init_world(
     world = WorldState(
         network, scenario, np.random.default_rng(seed), order_expiry=order_expiry
     )
-    for road, count in enumerate(scenario.initial_idle_per_road):
-        for _ in range(int(count)):
-            world.new_driver(road, float(world.rng.uniform()))
+    roads = np.repeat(np.arange(n), np.asarray(scenario.initial_idle_per_road, dtype=np.int64))
+    world._add_drivers(roads, world.rng.uniform(size=len(roads)))
     _spawn_orders(world)  # orders whose start time is step 0
     return world
 
 
 def _spawn_orders(world: WorldState) -> int:
-    spawned = 0
-    for call in world.calls_by_time.get(world.time, ()):
-        if not 0 <= call.start_road < world.network.n_roads:
-            raise ConfigurationError(
-                f"call at t={call.start_time} references road {call.start_road} "
-                f"outside 0..{world.network.n_roads - 1}"
-            )
-        order = Order(
-            order_id=world._next_order_id,
-            start_road=call.start_road,
-            end_road=call.end_road,
-            start_time=call.start_time,
-            duration=call.duration,
-            price=call.price,
-            expiry=world.order_expiry,
+    table = world.scenario.call_table
+    rows = table.opening(world.time)
+    roads = table.start_road[rows.start : rows.stop]
+    bad = (roads < 0) | (roads >= world.network.n_roads)
+    if bad.any():
+        raise ConfigurationError(
+            f"call at t={world.time} references road {roads[bad][0]} "
+            f"outside 0..{world.network.n_roads - 1}"
         )
-        world._next_order_id += 1
-        world.queues[call.start_road].append(order)
-        spawned += 1
-    world.counters.orders_generated += spawned
-    return spawned
+    for row, road in zip(rows, roads.tolist()):
+        world.queues[road].append(row)
+    world.counters.orders_generated += len(rows)
+    return len(rows)
 
 
 def _expire_orders(world: WorldState) -> int:
+    """Drop each queue's expired front; queues are FIFO by start time with one expiry."""
+    oldest_kept = world.time - world.order_expiry
+    start_time = world.scenario.call_table.start_time
     removed = 0
-    for road, queue in enumerate(world.queues):
-        kept = deque(o for o in queue if world.time - o.start_time <= o.expiry)
-        removed += len(queue) - len(kept)
-        world.queues[road] = kept
+    for queue in world.queues:
+        while queue and start_time[queue[0]] < oldest_kept:
+            queue.popleft()
+            removed += 1
     return removed
 
 
-def advance_drivers(world: WorldState) -> set[int]:
-    """Move every driver one step; return ids of idle drivers able to change road.
+def advance_drivers(world: WorldState) -> np.ndarray:
+    """Move every driver one step; return the fleet indices of idle drivers able to change road.
 
     Idle drivers travel by their road's current speed. Those reaching the road
     end (>= comparison) are controllable, with position frozen until
     relocation. Serving drivers count down and, on reaching zero, reappear idle
-    at their drop-off road with a fresh uniform position.
+    at their drop-off road with a fresh uniform position, drawn in fleet order.
     """
-    controllable: set[int] = set()
-    for d in world.drivers:
-        if not d.idle:
-            d.serving_remaining -= 1
-            if d.serving_remaining == 0:
-                d.road = d.dropoff_road
-                d.dropoff_road = -1
-                d.position = float(world.rng.uniform())
-            continue
-        length = world.network.roads[d.road].length
-        # same expression for the threshold and the move keeps rounding consistent
-        new_position = d.position + world.speeds[d.road] / length
-        if new_position >= 1.0:
-            controllable.add(d.driver_id)
-        else:
-            d.position = float(new_position)
-    return controllable
+    serving = world.serving_remaining > 0
+    idle = np.flatnonzero(~serving)
+    world.serving_remaining[serving] -= 1
+    returned = np.flatnonzero(serving & (world.serving_remaining == 0))
+    world.road[returned] = world.dropoff_road[returned]
+    world.dropoff_road[returned] = -1
+    world.position[returned] = world.rng.uniform(size=len(returned))
+
+    roads = world.road[idle]
+    # same expression for the threshold and the move keeps rounding consistent
+    new_position = world.position[idle] + world.speeds[roads] / world.length[roads]
+    reached = new_position >= 1.0
+    world.position[idle[~reached]] = new_position[~reached]
+    return idle[reached]
 
 
-def relocate(
-    world: WorldState, policy: "Policy", controllable_ids: set[int]
-) -> dict[int, int]:
-    """Sample each controllable driver's next road from the policy row of its road.
+def relocate(world: WorldState, policy: "Policy", movers: np.ndarray) -> np.ndarray:
+    """Sample each mover's next road from the policy row of its road; return the new roads.
 
-    Positions on the new road are uniform in [0, 1). Roads with no successors
-    carry a degenerate stay distribution, so the driver keeps its road but still
-    resamples its position. Non-controllable drivers implicitly take the stay
-    action and are untouched here. Movers are sampled at once by inverse CDF;
-    in fleet order each takes two draws, choice then position, which is the
-    stream and the row checks of `rng.choice(p=row)` then `rng.uniform()`.
+    `movers` are fleet indices. Positions on the new road are uniform in
+    [0, 1). Roads with no successors carry a degenerate stay distribution, so
+    the driver keeps its road but still resamples its position. Non-controllable
+    drivers implicitly take the stay action and are untouched here. Movers are
+    sampled at once by inverse CDF; in the order given each takes two draws,
+    choice then position, which is the stream and the row checks of
+    `rng.choice(p=row)` then `rng.uniform()`.
     """
     if policy.n_roads != world.network.n_roads:
         raise ValueError(
             f"policy covers {policy.n_roads} roads, world has {world.network.n_roads}"
         )
-    movers = [d for d in world.drivers if d.driver_id in controllable_ids]
-    roads = np.array([d.road for d in movers], dtype=np.intp)
+    movers = np.asarray(movers, dtype=np.intp)
+    roads = world.road[movers]
     start = policy.indptr[roads]
     degree = policy.indptr[roads + 1] - start
     slot = np.arange(degree.max(initial=1))  # with no movers, one empty column
@@ -286,42 +266,42 @@ def relocate(
     draws = world.rng.random((len(movers), 2))
     # entries <= u, as searchsorted(side="right"); the padding is 1.0 > u
     picks = (cdf / total <= draws[:, :1]).sum(axis=1)
-    targets = policy.actions[start + picks].tolist()
-    for d, road, position in zip(movers, targets, draws[:, 1].tolist()):
-        d.road = road
-        d.position = position
+    targets = policy.actions[start + picks]
+    world.road[movers] = targets
+    world.position[movers] = draws[:, 1]
     world.counters.relocations += len(movers)
-    return {d.driver_id: d.road for d in movers}
+    return targets
 
 
-def assign_orders(world: WorldState) -> dict[int, int]:
-    """Match idle drivers to queued orders road by road; return reward per idle driver.
+def assign_orders(world: WorldState) -> tuple[np.ndarray, np.ndarray]:
+    """Match idle drivers to queued orders road by road.
 
-    Each road serves min(idle, queued) orders, oldest first, with the served
-    drivers drawn uniformly without replacement from every idle driver on the
-    road (controllable or not). Matched drivers start serving and earn 1.
+    Returns the fleet indices of every idle driver, in fleet order, and each
+    one's reward. Each road serves min(idle, queued) orders, oldest first, with
+    the served drivers drawn uniformly without replacement from every idle
+    driver on the road (controllable or not), roads in ascending order. Matched
+    drivers start serving and earn 1.
     """
-    idle_by_road: dict[int, list[Driver]] = {}
-    rewards: dict[int, int] = {}
-    for d in world.drivers:
-        if d.idle:
-            idle_by_road.setdefault(d.road, []).append(d)
-            rewards[d.driver_id] = 0
-    for road in range(world.network.n_roads):
+    idle = np.flatnonzero(world.serving_remaining == 0)
+    idle_roads = world.road[idle]
+    queued = np.array([len(q) for q in world.queues], dtype=np.int64)
+    waiting = np.flatnonzero(queued[idle_roads] > 0)  # idle drivers on roads with orders
+    by_road = waiting[np.argsort(idle_roads[waiting], kind="stable")]  # fleet order within a road
+    roads, first, count = np.unique(idle_roads[by_road], return_index=True, return_counts=True)
+    chosen, calls = [], []
+    for road, lo, n_idle in zip(roads.tolist(), first.tolist(), count.tolist()):
         queue = world.queues[road]
-        candidates = idle_by_road.get(road)
-        if not queue or not candidates:
-            continue
-        k = min(len(candidates), len(queue))
-        chosen = world.rng.choice(len(candidates), size=k, replace=False)
-        for idx in chosen:
-            order = queue.popleft()
-            d = candidates[int(idx)]
-            d.serving_remaining = order.duration
-            d.dropoff_road = order.end_road
-            rewards[d.driver_id] = 1
-            world.counters.orders_served += 1
-    return rewards
+        k = min(n_idle, len(queue))
+        chosen.append(lo + world.rng.choice(n_idle, size=k, replace=False))
+        calls.extend(queue.popleft() for _ in range(k))
+    matched = by_road[np.concatenate(chosen, dtype=np.intp)] if chosen else by_road[:0]
+    table = world.scenario.call_table
+    world.serving_remaining[idle[matched]] = table.duration[calls]
+    world.dropoff_road[idle[matched]] = table.end_road[calls]
+    world.counters.orders_served += len(calls)
+    reward = np.zeros(len(idle), dtype=np.int64)
+    reward[matched] = 1
+    return idle, reward
 
 
 def spawn_and_expire_orders(world: WorldState) -> int:
@@ -334,8 +314,9 @@ def spawn_and_expire_orders(world: WorldState) -> int:
 def rebalance_drivers(world: WorldState, target_total: int) -> int:
     """Add or remove idle drivers so the fleet matches the scheduled total.
 
-    New drivers appear on uniformly random roads and positions; removals pick
-    uniformly among idle drivers only. Serving drivers are never removed.
+    New drivers appear on uniformly random roads and positions, one draw pair
+    per driver; removals pick uniformly among idle drivers only, in fleet
+    order. Serving drivers are never removed.
     """
     serving = world.serving_count()
     if target_total < serving:
@@ -344,15 +325,18 @@ def rebalance_drivers(world: WorldState, target_total: int) -> int:
         )
     delta = int(target_total) - world.total_drivers()
     if delta > 0:
-        for _ in range(delta):
-            road = int(world.rng.integers(world.network.n_roads))
-            world.new_driver(road, float(world.rng.uniform()))
+        draws = [
+            (int(world.rng.integers(world.network.n_roads)), float(world.rng.uniform()))
+            for _ in range(delta)
+        ]
+        roads, positions = zip(*draws)
+        world._add_drivers(np.array(roads), np.array(positions))
         world.counters.drivers_added += delta
     elif delta < 0:
-        idle = [d for d in world.drivers if d.idle]
-        drop_idx = world.rng.choice(len(idle), size=-delta, replace=False)
-        doomed = {idle[int(i)].driver_id for i in drop_idx}
-        world.drivers = [d for d in world.drivers if d.driver_id not in doomed]
+        idle = np.flatnonzero(world.serving_remaining == 0)
+        keep = np.ones(world.total_drivers(), dtype=bool)
+        keep[idle[world.rng.choice(len(idle), size=-delta, replace=False)]] = False
+        world._keep_drivers(keep)
         world.counters.drivers_removed -= delta
     return delta
 
@@ -360,10 +344,7 @@ def rebalance_drivers(world: WorldState, target_total: int) -> int:
 def observe(world: WorldState) -> Observation:
     """Per-road idle counts (controllable or not), open call counts, and speeds."""
     n = world.network.n_roads
-    idle = np.zeros(n, dtype=np.int64)
-    for d in world.drivers:
-        if d.idle:
-            idle[d.road] += 1
+    idle = np.bincount(world.road[world.serving_remaining == 0], minlength=n)
     calls = np.array([len(q) for q in world.queues], dtype=np.int64)
     return Observation(idle, calls, world.speeds.copy())
 
@@ -371,14 +352,14 @@ def observe(world: WorldState) -> Observation:
 def step(world: WorldState, policy: "Policy") -> tuple[Observation, StepOutcome]:
     """Run one full cycle: advance, relocate, match, tick, spawn, rebalance, observe.
 
-    Every driver that was idle at matching time yields exactly one sample.
+    Every driver that was idle at matching time yields exactly one transition.
     Drivers spawned by this step's rebalance join the agent set next step;
-    drivers it removes keep the sample they already earned.
+    drivers it removes keep the transition they already earned.
     """
-    controllable_ids = advance_drivers(world)
-    relocate(world, policy, controllable_ids)
-    rewards = assign_orders(world)
-    agents = [(d, rewards[d.driver_id]) for d in world.drivers if d.driver_id in rewards]
+    movers = advance_drivers(world)
+    relocate(world, policy, movers)
+    agents, reward = assign_orders(world)
+    ids, roads, positions = world.driver_id[agents], world.road[agents], world.position[agents]
 
     world.time += 1
     generated = spawn_and_expire_orders(world)
@@ -392,25 +373,12 @@ def step(world: WorldState, policy: "Policy") -> tuple[Observation, StepOutcome]
         world.scenario.speed_series[speed_row], dtype=np.float64
     ).copy()
 
-    samples = []
-    for d, reward in agents:
-        if reward:
-            controllable_next = False  # episode ends on a served order
-        else:
-            length = world.network.roads[d.road].length
-            controllable_next = d.position + world.speeds[d.road] / length >= 1.0
-        samples.append(
-            TransitionSample(
-                driver_id=d.driver_id,
-                road_after_move=d.road,
-                was_controllable_next=bool(controllable_next),
-                reward=int(reward),
-                terminated=bool(reward),
-            )
-        )
-
-    served = sum(r for _, r in agents)
-    return observe(world), StepOutcome(tuple(samples), served, generated)
+    # an episode ends on a served order, so a rewarded agent is never controllable next
+    controllable_next = (reward == 0) & (
+        positions + world.speeds[roads] / world.length[roads] >= 1.0
+    )
+    samples = Transitions(ids, roads, controllable_next, reward)
+    return observe(world), StepOutcome(samples, int(reward.sum()), generated)
 
 
 def order_response_rate(counters: Counters) -> float | None:

@@ -191,8 +191,11 @@ class TestCriterion6SimulatorConservation:
                     j: {j, *successors(net, j)} for j in range(n_roads)
                 }
                 for _ in range(100):
-                    before = {d.driver_id: (d.road, d.idle) for d in world.drivers}
-                    _, outcome = sim.step(world, policy)
+                    before = dict(zip(
+                        world.driver_id.tolist(),
+                        zip(world.road.tolist(), (world.serving_remaining == 0).tolist()),
+                    ))
+                    obs, outcome = sim.step(world, policy)
                     series = world.scenario.total_drivers_series
                     target = int(series[min(world.time, len(series) - 1)])
                     assert world.total_drivers() == target
@@ -202,14 +205,21 @@ class TestCriterion6SimulatorConservation:
                     open_orders = sum(len(q) for q in world.queues)
                     assert c.orders_generated == c.orders_served + c.orders_expired + open_orders
                     idle_before = {i for i, (_, idle) in before.items() if idle}
-                    sampled = {s.driver_id for s in outcome.samples}
+                    s = outcome.samples
+                    sampled = set(s.driver_id.tolist())
                     assert idle_before <= sampled
-                    assert len(sampled) == len(outcome.samples)
-                    for s in outcome.samples:
-                        assert (s.reward == 1) == s.terminated
-                        if s.driver_id in idle_before:
-                            assert s.road_after_move in closure[before[s.driver_id][0]]
-                    trace.append((outcome, astuple(c)))
+                    assert len(sampled) == len(s)
+                    assert outcome.served == s.reward.sum()
+                    assert not (s.controllable_next & (s.reward == 1)).any()
+                    for i, road in zip(s.driver_id.tolist(), s.road_after_move.tolist()):
+                        if i in idle_before:
+                            assert road in closure[before[i][0]]
+                    arrays = (
+                        s.driver_id, s.road_after_move, s.controllable_next, s.reward,
+                        obs.idle_counts, obs.call_counts, world.road, world.position,
+                    )
+                    trace.append(([a.tolist() for a in arrays], outcome.served,
+                                  outcome.generated, astuple(c)))
                 return trace
 
             assert run(1000 + seed) == run(1000 + seed)  # bit-identical replay
@@ -217,7 +227,7 @@ class TestCriterion6SimulatorConservation:
             "6",
             "3 seeds x 100 steps: fleet matches target "
             "and initial + added - removed, served <= generated, "
-            "generated == served + expired + open, reward<=>terminated, <=1 transition per step, bit-identical replays",
+            "generated == served + expired + open, served agents not controllable, <=1 transition per step, bit-identical replays",
         )
 
 

@@ -16,7 +16,7 @@ from fleetlab import sim
 from fleetlab.marl import Policy, PolicyKind, policy_from_q, soft_td_targets, td_targets
 from fleetlab.roadnet import RoadNetwork, build_dual_graph, neighbourhoods, successors
 from fleetlab.scenario import Scenario
-from fleetlab.sim import Observation, TransitionSample
+from fleetlab.sim import Observation, Transitions
 
 from conftest import network_with_loops
 
@@ -80,46 +80,50 @@ def oracle_policy_rows(q, net, kind, observation):
     return rows
 
 
+def sample_rows(samples):
+    return zip(
+        samples.road_after_move.tolist(), samples.controllable_next.tolist(),
+        samples.reward.tolist(),
+    )
+
+
 def oracle_td_targets(samples, q_next, rows, gamma):
     targets = np.empty(len(samples))
-    for i, s in enumerate(samples):
-        if s.terminated:
+    for i, (road, controllable, reward) in enumerate(sample_rows(samples)):
+        if reward:
             targets[i] = 1.0
-        elif s.was_controllable_next:
-            acts, p = rows[s.road_after_move]
+        elif controllable:
+            acts, p = rows[road]
             targets[i] = gamma * float(p @ q_next[acts])
         else:
-            targets[i] = gamma * float(q_next[s.road_after_move])
+            targets[i] = gamma * float(q_next[road])
     return targets
 
 
 def oracle_soft_td_targets(samples, q_next, net, beta, gamma):
     targets = np.empty(len(samples))
-    for i, s in enumerate(samples):
-        if s.terminated:
+    for i, (road, controllable, reward) in enumerate(sample_rows(samples)):
+        if reward:
             targets[i] = 1.0
             continue
-        road = s.road_after_move
-        acts = oracle_actions(net, road) if s.was_controllable_next else np.array([road])
+        acts = oracle_actions(net, road) if controllable else np.array([road])
         q = q_next[acts]
         m = q.max()
         targets[i] = (gamma / beta) * (beta * m + np.log(np.exp(beta * (q - m)).sum()))
     return targets
 
 
-def oracle_relocate(world, policy, controllable_ids):
+def oracle_relocate(world, policy, movers):
     if policy.n_roads != world.network.n_roads:
         raise ValueError("policy does not cover the world's roads")
-    assignments = {}
-    for d in world.drivers:
-        if d.driver_id not in controllable_ids:
-            continue
-        actions, probs = policy.distribution(d.road)
+    targets = []
+    for i in movers:
+        actions, probs = policy.distribution(world.road[i])
         nxt = int(actions[world.rng.choice(len(actions), p=probs)])
-        d.road = nxt
-        d.position = float(world.rng.uniform())
-        assignments[d.driver_id] = nxt
-    return assignments
+        world.road[i] = nxt
+        world.position[i] = float(world.rng.uniform())
+        targets.append(nxt)
+    return np.array(targets, dtype=np.intp)
 
 
 def oracle_neighbourhoods(net):
@@ -141,19 +145,15 @@ def random_inputs(rng, net):
 
 
 def random_samples(rng, n_roads, count=40):
-    samples = []
-    for i in range(count):
+    rows = []
+    for _ in range(count):
         served = bool(rng.random() < 0.2)
-        samples.append(
-            TransitionSample(
-                driver_id=i,
-                road_after_move=int(rng.integers(n_roads)),
-                was_controllable_next=bool(rng.random() < 0.6) and not served,
-                reward=int(served),
-                terminated=served,
-            )
-        )
-    return samples
+        road = int(rng.integers(n_roads))
+        rows.append((road, bool(rng.random() < 0.6) and not served, int(served)))
+    roads, controllable, reward = zip(*rows)
+    return Transitions(
+        np.arange(count), np.array(roads), np.array(controllable), np.array(reward)
+    )
 
 
 # -- tests --------------------------------------------------------------------
@@ -224,8 +224,7 @@ def relocation_world(seed, n_drivers=3000):
         horizon=2,
     )
     world = sim.init_world(net, scn, seed=seed)
-    for d in world.drivers[::3]:
-        d.position = 0.999  # every third driver reaches its road end
+    world.position[::3] = 0.999  # every third driver reaches its road end
     return world, sim.advance_drivers(world)
 
 
@@ -256,16 +255,16 @@ class TestRelocateAgainstRngChoice:
             kind = KINDS[seed % len(KINDS)]
             policy = policy_from_q(q, dual, kind, sim.observe(world)).mixed_with_uniform(0.25)
             (world, got), (twin, want) = relocate_both(world, policy, ids)
-            assert got == want and len(got) == len(ids)
-            assert [(d.road, d.position) for d in world.drivers] == [
-                (d.road, d.position) for d in twin.drivers
-            ]
+            assert np.array_equal(got, want) and len(got) == len(ids)
+            assert world.road.tolist() == twin.road.tolist()
+            assert world.position.tolist() == twin.position.tolist()
             assert world.rng.bit_generator.state == twin.rng.bit_generator.state
 
     def test_no_movers_draws_nothing(self):
         world, _, dual = fork_world()
         state = world.rng.bit_generator.state
-        assert sim.relocate(world, policy_from_q(np.zeros(3), dual, KINDS[0]), set()) == {}
+        policy = policy_from_q(np.zeros(3), dual, KINDS[0])
+        assert len(sim.relocate(world, policy, np.array([], dtype=np.intp))) == 0
         assert world.rng.bit_generator.state == state
 
     @pytest.mark.parametrize(
@@ -287,7 +286,7 @@ class TestRelocateAgainstRngChoice:
                     relocate(copy.deepcopy(world), policy, ids)
         else:
             (world, got), (twin, want) = relocate_both(world, policy, ids)
-            assert got == want
+            assert np.array_equal(got, want)
             assert world.rng.bit_generator.state == twin.rng.bit_generator.state
 
     def test_draw_on_a_cdf_step_takes_the_next_action(self):
@@ -297,4 +296,4 @@ class TestRelocateAgainstRngChoice:
         assert probs[0] + probs[1] == 1.0  # so the normalized CDF step is u itself
         policy = Policy(dual.indptr, dual.actions, probs)
         (world, got), (twin, want) = relocate_both(world, policy, ids)
-        assert got == want and got[world.drivers[0].driver_id] == 2
+        assert np.array_equal(got, want) and ids[0] == 0 and got[0] == 2

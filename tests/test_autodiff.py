@@ -151,6 +151,11 @@ class TestValueSemantics:
         assert s[1] == pytest.approx(1.0)
         assert np.isfinite(s).all()
 
+    def test_sigmoid_never_underflows_to_zero(self):
+        s = Tensor(np.array([-1e30, -800.0, -700.0, 0.0])).sigmoid().values
+        assert (s > 0).all()  # power policies need strictly positive Q
+        assert s[2] == np.exp(-700.0) / (1.0 + np.exp(-700.0))  # unclamped where exp is normal
+
     def test_gradient_accumulates_across_reuse(self):
         x = Tensor(2.0, name="x")
         loss = x * x + x * 3.0

@@ -261,3 +261,159 @@ class TestToy:
         )
         assert rc == EXIT_OK
         assert '"drivers": [6.0, 0.0]' in capsys.readouterr().out
+
+
+def eval_argv(city, tmp_path, *extra):
+    return ["eval", "--scenario-dir", str(city), "--baselines", "random",
+            "--steps", "3", "--out", str(tmp_path / "t.csv"), *extra]
+
+
+class TestScenarioInputErrors:
+    """Malformed scenario files are data errors (exit 3), never tracebacks."""
+
+    def edit_graph(self, city, edit):
+        graph = json.loads((city / "graph.json").read_text())
+        edit(graph)
+        (city / "graph.json").write_text(json.dumps(graph))
+
+    @pytest.mark.parametrize("node", [{"x": 1}, [1, 2]])
+    def test_unhashable_node_is_data_error(self, tmp_path, capsys, node):
+        city = run_gen(tmp_path)
+        self.edit_graph(city, lambda g: g["nodes"].append(node))
+        assert main(eval_argv(city, tmp_path)) == EXIT_DATA
+        assert capsys.readouterr().err.startswith("data error: ")
+
+    def test_unhashable_road_end_is_data_error(self, tmp_path):
+        city = run_gen(tmp_path)
+        self.edit_graph(city, lambda g: g["roads"][0].update({"to": {"x": 1}}))
+        assert main(eval_argv(city, tmp_path)) == EXIT_DATA
+
+    def test_non_integer_road_id_is_data_error(self, tmp_path, capsys):
+        city = run_gen(tmp_path)
+        self.edit_graph(city, lambda g: g["roads"][3].update({"id": "x"}))
+        assert main(eval_argv(city, tmp_path)) == EXIT_DATA
+        assert "road ids must be integers" in capsys.readouterr().err
+
+    def test_non_utf8_calls_file_is_data_error(self, tmp_path, capsys):
+        city = run_gen(tmp_path)
+        calls = city / "calls.csv"
+        calls.write_bytes(calls.read_bytes() + b"1,2,3,4,\xff\xfe\n")
+        assert main(eval_argv(city, tmp_path)) == EXIT_DATA
+        assert "cannot read" in capsys.readouterr().err
+
+    def test_non_utf8_graph_file_is_data_error(self, tmp_path):
+        city = run_gen(tmp_path)
+        (city / "graph.json").write_bytes(b'{"nodes": ["\xff"]}')
+        assert main(eval_argv(city, tmp_path)) == EXIT_DATA
+
+    def test_infinite_length_is_data_error(self, tmp_path, capsys):
+        city = run_gen(tmp_path)
+        self.edit_graph(city, lambda g: g["roads"][0].update({"length_m": "inf"}))
+        assert main(eval_argv(city, tmp_path)) == EXIT_DATA
+        assert "infinite length" in capsys.readouterr().err
+
+    def test_infinite_speed_is_data_error(self, tmp_path, capsys):
+        city = run_gen(tmp_path)
+        (city / "speeds.csv").write_text("t,road,speed\n2,1,inf\n")
+        assert main(eval_argv(city, tmp_path)) == EXIT_DATA
+        assert "positive and finite" in capsys.readouterr().err
+
+    def test_speed_that_saturates_the_network_still_evaluates(self, tmp_path):
+        city = run_gen(tmp_path)
+        (city / "speeds.csv").write_text("t,road,speed\n0,1,1e30\n")
+        path = tmp_path / "checkpoint.json"
+        cfg = GnnConfig(kind="gcn", layers=1, hidden_dim=4, speed_scale=500.0)
+        params = init_params(cfg)
+        params["layer0.weight"][2] = -1.0  # speed drives Q below exp()'s underflow
+        save_checkpoint(path, cfg, params, meta={"policy_name": "pow", "beta": 2.0})
+        rc = main(["eval", "--scenario-dir", str(city), "--checkpoint", str(path),
+                   "--steps", "3", "--out", str(tmp_path / "t.csv")])
+        assert rc == EXIT_OK
+
+    def test_count_beyond_64_bits_is_data_error(self, tmp_path):
+        city = run_gen(tmp_path)
+        (city / "initial_idle.csv").write_text("road,count\n0," + "9" * 30 + "\n")
+        assert main(eval_argv(city, tmp_path)) == EXIT_DATA
+
+
+class TestUsageErrors:
+    """Malformed or out-of-range option values exit 2 with a usage message."""
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--seeds", "a"],
+            ["--seeds", "1,"],
+            ["--seeds", "-1"],
+            ["--driver-scales", "x"],
+            ["--driver-scales", "-0.5"],
+            ["--baselines", "bogus"],
+            ["--order-expiry", "-5"],
+            ["--steps", "-3"],
+            ["--steps", "0"],
+            ["--episodes", "0"],
+        ],
+    )
+    def test_eval_option_values(self, tmp_path, capsys, extra):
+        city = run_gen(tmp_path)
+        with pytest.raises(SystemExit) as err:
+            main(eval_argv(city, tmp_path, *extra))
+        assert err.value.code == 2
+        assert f"argument {extra[0]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [["--drivers", "a"], ["--drivers", "1,2,3"], ["--calls", "3,-1"]])
+    def test_toy_option_values(self, tmp_path, extra):
+        with pytest.raises(SystemExit) as err:
+            main(["toy", "--out", str(tmp_path / "s.csv"), *extra])
+        assert err.value.code == 2
+
+    def test_train_seed_and_steps(self, tmp_path):
+        for extra in (["--seed", "-1"], ["--steps", "-3"], ["--order-expiry", "-1"]):
+            with pytest.raises(SystemExit) as err:
+                main(["train", "--scenario-dir", str(tmp_path), "--out", str(tmp_path), *extra])
+            assert err.value.code == 2
+
+    def test_zero_expiry_and_empty_baselines_are_valid(self, tmp_path):
+        city = run_gen(tmp_path)
+        assert main(eval_argv(city, tmp_path, "--order-expiry", "0", "--seeds", "0, 2")) == EXIT_OK
+        assert main(["eval", "--scenario-dir", str(city), "--baselines", "",
+                     "--out", str(tmp_path / "t.csv")]) == 2  # nothing to evaluate
+
+
+class TestCheckpointMetaErrors:
+    @pytest.mark.parametrize(
+        "meta", [7.5, {"policy_name": "bogus"}, {"policy_name": "pow", "beta": float("nan")},
+                 {"policy_name": "pow", "beta": "high"}],
+    )
+    def test_bad_meta_is_data_error(self, tmp_path, meta):
+        city = run_gen(tmp_path)
+        path = tmp_path / "checkpoint.json"
+        cfg = GnnConfig(kind="gcn", layers=1, hidden_dim=4)
+        save_checkpoint(path, cfg, init_params(cfg), meta={})
+        payload = json.loads(path.read_text())
+        payload["meta"] = meta
+        path.write_text(json.dumps(payload))
+        rc = main(["eval", "--scenario-dir", str(city), "--checkpoint", str(path),
+                   "--steps", "3", "--out", str(tmp_path / "t.csv")])
+        assert rc == EXIT_DATA
+
+    def test_negative_epoch_count_on_resume_is_data_error(self, tmp_path):
+        city = run_gen(tmp_path)
+        path = tmp_path / "checkpoint.json"
+        cfg = GnnConfig(kind="gcn", layers=1, hidden_dim=4)
+        save_checkpoint(path, cfg, init_params(cfg), meta={"epochs_completed": -1})
+        rc = main(["train", "--scenario-dir", str(city), "--resume", str(path),
+                   "--steps", "2", "--out", str(tmp_path / "run")])
+        assert rc == EXIT_DATA
+
+    def test_non_numeric_feature_scale_is_data_error(self, tmp_path):
+        city = run_gen(tmp_path)
+        path = tmp_path / "checkpoint.json"
+        cfg = GnnConfig(kind="gcn", layers=1, hidden_dim=4)
+        save_checkpoint(path, cfg, init_params(cfg), meta={"policy_name": "pow"})
+        payload = json.loads(path.read_text())
+        payload["config"]["count_scale"] = "abc"
+        path.write_text(json.dumps(payload))
+        rc = main(["eval", "--scenario-dir", str(city), "--checkpoint", str(path),
+                   "--steps", "3", "--out", str(tmp_path / "t.csv")])
+        assert rc == EXIT_DATA

@@ -18,7 +18,7 @@ from fleetlab.marl import (
     td_targets,
 )
 from fleetlab.roadnet import RoadNetwork, build_dual_graph, successors
-from fleetlab.sim import Observation, TransitionSample
+from fleetlab.sim import Observation, Transitions
 
 
 def fork_dual():
@@ -31,13 +31,13 @@ def fork_dual():
 
 
 def sample(road, controllable_next, reward=0):
-    return TransitionSample(
-        driver_id=0,
-        road_after_move=road,
-        was_controllable_next=controllable_next,
-        reward=reward,
-        terminated=bool(reward),
-    )
+    return road, controllable_next, reward
+
+
+def samples(*rows):
+    """One agent's transition per (road, controllable_next, reward) row."""
+    table = np.array(rows, dtype=np.intp).reshape(-1, 3)
+    return Transitions(np.arange(len(table)), table[:, 0], table[:, 1] == 1, table[:, 2])
 
 
 class TestPolicyFamilies:
@@ -178,7 +178,7 @@ class TestExpectedFutureQ:
     """The bootstrap value a non-terminated sample's TD target discounts."""
 
     def bootstrap(self, q, policy, s):
-        return td_targets([s], q, policy, gamma=0.5)[0] / 0.5
+        return td_targets(samples(s), q, policy, gamma=0.5)[0] / 0.5
 
     def test_non_controllable_reads_own_road(self):
         q = np.array([0.1, 0.4, 0.9])
@@ -206,49 +206,49 @@ class TestTdTargets:
     def test_terminated_sample_targets_one(self):
         q = np.full(3, 0.7)
         policy = policy_from_q(q, fork_dual(), PolicyKind("random"))
-        y = td_targets([sample(0, False, reward=1)], q, policy, gamma=0.9)
+        y = td_targets(samples(sample(0, False, reward=1)), q, policy, gamma=0.9)
         assert y == pytest.approx([1.0])
 
     def test_non_terminated_discounts_bootstrap(self):
         q = np.full(3, 0.5)
         policy = policy_from_q(q, fork_dual(), PolicyKind("random"))
-        y = td_targets([sample(1, False)], q, policy, gamma=0.9)
+        y = td_targets(samples(sample(1, False)), q, policy, gamma=0.9)
         assert y == pytest.approx([0.45])
 
     def test_zero_bootstrap_gives_zero(self):
         q = np.zeros(3)
         policy = policy_from_q(np.full(3, 0.5), fork_dual(), PolicyKind("random"))
-        y = td_targets([sample(0, True), sample(1, False)], q, policy, gamma=0.9)
+        y = td_targets(samples(sample(0, True), sample(1, False)), q, policy, gamma=0.9)
         assert y == pytest.approx([0.0, 0.0])
 
 
 class TestDqnLoss:
     def test_zero_when_predictions_match(self):
         q = np.array([0.3, 0.6, 0.9])
-        samples = [sample(0, False), sample(2, False)]
-        assert dqn_loss(q, samples, np.array([0.3, 0.9])) == pytest.approx(0.0)
+        batch = samples(sample(0, False), sample(2, False))
+        assert dqn_loss(q, batch, np.array([0.3, 0.9])) == pytest.approx(0.0)
 
     def test_single_sample_squared_error(self):
         q = np.array([0.6, 0.0, 0.0])
-        assert dqn_loss(q, [sample(0, False)], np.array([1.0])) == pytest.approx(0.16)
+        assert dqn_loss(q, samples(sample(0, False)), np.array([1.0])) == pytest.approx(0.16)
 
     def test_same_road_samples_sum_independently(self):
         q = np.array([0.5, 0.0, 0.0])
-        samples = [sample(0, False), sample(0, False)]
-        assert dqn_loss(q, samples, np.array([1.0, 0.0])) == pytest.approx(0.25 + 0.25)
+        batch = samples(sample(0, False), sample(0, False))
+        assert dqn_loss(q, batch, np.array([1.0, 0.0])) == pytest.approx(0.25 + 0.25)
 
     def test_tensor_input_produces_gradient(self):
         from fleetlab.gnn import backward
 
         q = Tensor(np.array([0.5, 0.2, 0.1]), name="q")
-        loss = dqn_loss(q, [sample(0, False), sample(0, False)], np.array([1.0, 0.0]))
+        loss = dqn_loss(q, samples(sample(0, False), sample(0, False)), np.array([1.0, 0.0]))
         grads = backward(loss)
         # d/dq0 [(0.5-1)^2 + (0.5-0)^2] = 2(-0.5) + 2(0.5) = 0
         assert grads["q"][0] == pytest.approx(0.0)
         assert grads["q"][1:] == pytest.approx([0.0, 0.0])
 
     def test_empty_sample_batch_gives_zero_loss(self):
-        assert dqn_loss(np.array([0.5]), [], np.array([])) == pytest.approx(0.0)
+        assert dqn_loss(np.array([0.5]), samples(), np.array([])) == pytest.approx(0.0)
 
 
 class TestSoftQTarget:
@@ -276,7 +276,7 @@ class TestSoftQTarget:
         dual = fork_dual()
         q = np.array([0.1, 0.5, 0.7])
         targets = soft_td_targets(
-            [sample(0, True), sample(0, False), sample(2, True), sample(1, False, reward=1)],
+            samples(sample(0, True), sample(0, False), sample(2, True), sample(1, False, reward=1)),
             q,
             dual,
             beta=2.0,

@@ -56,8 +56,8 @@ class TestInitWorld:
         scn = make_scenario(3, initial=[2, 0, 1])
         world = sim.init_world(net, scn, seed=1)
         assert world.total_drivers() == 3
-        assert sorted(d.road for d in world.drivers) == [0, 0, 2]
-        assert all(0.0 <= d.position < 1.0 for d in world.drivers)
+        assert world.road.tolist() == [0, 0, 2]
+        assert ((0.0 <= world.position) & (world.position < 1.0)).all()
         assert world.time == 0
 
     def test_empty_distribution_is_valid(self):
@@ -71,7 +71,7 @@ class TestInitWorld:
         scn = make_scenario(3, initial=[5, 3, 2])
         a = sim.init_world(net, scn, seed=42)
         b = sim.init_world(net, scn, seed=42)
-        assert [d.position for d in a.drivers] == [d.position for d in b.drivers]
+        assert a.position.tolist() == b.position.tolist()
 
     def test_road_count_mismatch_raises(self):
         net = chain_network()
@@ -90,74 +90,67 @@ class TestAdvanceDrivers:
     def test_reaching_road_end_marks_controllable(self):
         net = chain_network()
         world = sim.init_world(net, make_scenario(3, initial=[1, 0, 0]), seed=0)
-        d = world.drivers[0]
-        d.position = 0.5  # 600 m step covers the remaining 500 m
-        ids = sim.advance_drivers(world)
-        assert ids == {d.driver_id}
-        assert d.position == 0.5  # frozen until relocation
+        world.position[0] = 0.5  # 600 m step covers the remaining 500 m
+        movers = sim.advance_drivers(world)
+        assert movers.tolist() == [0]
+        assert world.position[0] == 0.5  # frozen until relocation
 
     def test_short_move_updates_position(self):
         net = chain_network()
         world = sim.init_world(net, make_scenario(3, initial=[1, 0, 0]), seed=0)
-        d = world.drivers[0]
-        d.position = 0.1
-        ids = sim.advance_drivers(world)
-        assert ids == set()
-        assert d.position == pytest.approx(0.7)
+        world.position[0] = 0.1
+        movers = sim.advance_drivers(world)
+        assert len(movers) == 0
+        assert world.position[0] == pytest.approx(0.7)
 
     def test_exact_boundary_counts_as_controllable(self):
         net = chain_network()
         world = sim.init_world(net, make_scenario(3, initial=[1, 0, 0]), seed=0)
-        d = world.drivers[0]
-        d.position = 0.4  # 0.4 + 600/1000 == 1.0 exactly
-        assert sim.advance_drivers(world) == {d.driver_id}
+        world.position[0] = 0.4  # 0.4 + 600/1000 == 1.0 exactly
+        assert sim.advance_drivers(world).tolist() == [0]
 
     def test_serving_driver_counts_down_and_drops_off(self):
         net = chain_network()
         world = sim.init_world(net, make_scenario(3, initial=[1, 0, 0]), seed=0)
-        d = world.drivers[0]
-        d.serving_remaining = 2
-        d.dropoff_road = 2
-        assert sim.advance_drivers(world) == set()
-        assert d.serving_remaining == 1 and d.road == 0
-        assert sim.advance_drivers(world) == set()
-        assert d.idle and d.road == 2 and 0.0 <= d.position < 1.0
+        world.serving_remaining[0] = 2
+        world.dropoff_road[0] = 2
+        assert len(sim.advance_drivers(world)) == 0
+        assert world.serving_remaining[0] == 1 and world.road[0] == 0
+        assert len(sim.advance_drivers(world)) == 0
+        assert world.serving_remaining[0] == 0 and world.road[0] == 2
+        assert world.dropoff_road[0] == -1 and 0.0 <= world.position[0] < 1.0
 
 
 class TestRelocate:
     def test_degenerate_policy_moves_everyone(self):
         net = chain_network()
         world = sim.init_world(net, make_scenario(3, initial=[4, 0, 0]), seed=0)
-        for d in world.drivers:
-            d.position = 0.9
-        ids = sim.advance_drivers(world)
-        moved = sim.relocate(world, stay_policy(net), ids)
-        assert set(moved.values()) == {1}  # road 0 has the single successor 1
-        assert all(d.road == 1 for d in world.drivers)
+        world.position[:] = 0.9
+        movers = sim.advance_drivers(world)
+        moved = sim.relocate(world, stay_policy(net), movers)
+        assert moved.tolist() == [1] * 4  # road 0 has the single successor 1
+        assert world.road.tolist() == [1] * 4
         assert world.counters.relocations == 4
 
     def test_dead_end_driver_stays_with_fresh_position(self):
         net = chain_network()
         world = sim.init_world(net, make_scenario(3, initial=[0, 0, 1]), seed=0)
-        d = world.drivers[0]
-        d.position = 0.95
-        before = d.position
-        ids = sim.advance_drivers(world)
-        moved = sim.relocate(world, stay_policy(net), ids)
-        assert moved == {d.driver_id: 2}
+        world.position[0] = 0.95
+        movers = sim.advance_drivers(world)
+        moved = sim.relocate(world, stay_policy(net), movers)
+        assert movers.tolist() == [0] and moved.tolist() == [2]
         assert world.counters.relocations == 1  # a dead-end stay counts as a relocation
-        assert d.road == 2 and d.position != before
+        assert world.road[0] == 2 and world.position[0] != 0.95
 
     def test_even_split_law_of_large_numbers(self):
         net = fork_network()
         world = sim.init_world(net, make_scenario(3, initial=[10_000, 0, 0]), seed=7)
-        for d in world.drivers:
-            d.position = 0.99
-        ids = sim.advance_drivers(world)
+        world.position[:] = 0.99
+        movers = sim.advance_drivers(world)
         dual = build_dual_graph(net)
         policy = policy_from_q(np.array([0.5, 0.5, 0.5]), dual, PolicyKind("random"))
-        sim.relocate(world, policy, ids)
-        on_road_1 = sum(1 for d in world.drivers if d.road == 1)
+        sim.relocate(world, policy, movers)
+        on_road_1 = int((world.road == 1).sum())
         assert abs(on_road_1 / 10_000 - 0.5) < 0.02
 
     def test_policy_missing_row_raises(self):
@@ -165,7 +158,7 @@ class TestRelocate:
         world = sim.init_world(net, make_scenario(3, initial=[1, 0, 0]), seed=0)
         small = Policy(np.array([0, 1]), np.array([0]), np.array([1.0]))  # covers one road only
         with pytest.raises(ValueError):
-            sim.relocate(world, small, {world.drivers[0].driver_id})
+            sim.relocate(world, small, np.array([0]))
 
 
 class TestAssignOrders:
@@ -179,27 +172,27 @@ class TestAssignOrders:
 
     def test_three_drivers_two_orders(self):
         world = self.build(3, 2)
-        rewards = sim.assign_orders(world)
-        assert sum(rewards.values()) == 2
+        idle, rewards = sim.assign_orders(world)
+        assert idle.tolist() == [0, 1, 2] and rewards.sum() == 2
         assert world.counters.orders_served == 2
         assert world.serving_count() == 2
 
     def test_one_driver_three_orders(self):
         world = self.build(1, 3)
-        rewards = sim.assign_orders(world)
-        assert sum(rewards.values()) == 1
+        _, rewards = sim.assign_orders(world)
+        assert rewards.tolist() == [1]
         assert len(world.queues[0]) == 2
 
     def test_no_drivers_serves_nothing(self):
         world = self.build(0, 2)
-        assert sim.assign_orders(world) == {}
+        idle, rewards = sim.assign_orders(world)
+        assert len(idle) == len(rewards) == 0
         assert world.counters.orders_served == 0
 
     def test_matched_driver_takes_order_duration_and_destination(self):
         world = self.build(1, 1)
         sim.assign_orders(world)
-        d = world.drivers[0]
-        assert d.serving_remaining == 4 and d.dropoff_road == 2
+        assert world.serving_remaining[0] == 4 and world.dropoff_road[0] == 2
 
 
 class TestSpawnAndExpire:
@@ -235,10 +228,29 @@ class TestSpawnAndExpire:
 
     def test_invalid_road_reference_raises(self):
         net = chain_network()
-        world = sim.init_world(net, make_scenario(3), seed=0)
-        world.calls_by_time = {0: [CallRecord(99, 0, 0, 1, 1.0)]}
+        world = sim.init_world(net, make_scenario(3, calls=[CallRecord(99, 0, 2, 1, 1.0)]), seed=0)
+        world.time = 2
         with pytest.raises(sim.ConfigurationError):
             sim.spawn_and_expire_orders(world)
+
+    def test_call_index_is_built_once_per_scenario(self):
+        net = chain_network()
+        scn = make_scenario(3, calls=[CallRecord(0, 1, 1, 2, 1.0), CallRecord(2, 0, 0, 1, 1.0)])
+        a, b = sim.init_world(net, scn, seed=0), sim.init_world(net, scn, seed=1)
+        assert a.scenario.call_table is b.scenario.call_table
+        assert scn.call_table.start_time.tolist() == [0, 1]
+        assert not scn.call_table.duration.flags.writeable  # shared, so read-only
+        assert [len(q) for q in a.queues] == [0, 0, 1]
+
+    def test_expiry_pops_only_the_expired_front(self):
+        net = chain_network()
+        calls = [CallRecord(0, 1, t, 3, 1.0) for t in (0, 0, 1, 2)]
+        world = sim.init_world(net, make_scenario(3, calls=calls), seed=0, order_expiry=1)
+        for t in (1, 2):
+            world.time = t
+            sim.spawn_and_expire_orders(world)
+        assert len(world.queues[0]) == 2  # the two t=0 orders aged past 1 step
+        assert world.counters.orders_expired == 2
 
 
 class TestRebalance:
@@ -252,12 +264,13 @@ class TestRebalance:
     def test_shrinks_but_never_removes_serving(self):
         net = chain_network()
         world = sim.init_world(net, make_scenario(3, initial=[90, 0, 0]), seed=0)
-        for d in world.drivers[:5]:
-            d.serving_remaining = 3
-            d.dropoff_road = 1
+        world.serving_remaining[:5] = 3
+        world.dropoff_road[:5] = 1
         assert sim.rebalance_drivers(world, 80) == -10
         assert world.total_drivers() == 80
         assert world.serving_count() == 5
+        assert world.driver_id[:5].tolist() == [0, 1, 2, 3, 4]
+        assert (np.diff(world.driver_id) > 0).all()  # removals keep fleet order
         assert (world.counters.drivers_added, world.counters.drivers_removed) == (0, 10)
 
     def test_noop_when_matching(self):
@@ -268,9 +281,8 @@ class TestRebalance:
     def test_target_below_serving_raises(self):
         net = chain_network()
         world = sim.init_world(net, make_scenario(3, initial=[5, 0, 0]), seed=0)
-        for d in world.drivers:
-            d.serving_remaining = 2
-            d.dropoff_road = 1
+        world.serving_remaining[:] = 2
+        world.dropoff_road[:] = 1
         with pytest.raises(sim.ConfigurationError):
             sim.rebalance_drivers(world, 3)
 
@@ -293,7 +305,7 @@ class TestObserve:
     def test_serving_driver_not_counted_idle(self):
         net = chain_network()
         world = sim.init_world(net, make_scenario(3, initial=[1, 0, 0]), seed=0)
-        world.drivers[0].serving_remaining = 2
+        world.serving_remaining[0] = 2
         assert sim.observe(world).idle_counts.tolist() == [0, 0, 0]
 
     def test_features_matrix_shape(self):
@@ -308,9 +320,10 @@ class TestStep:
         scn = make_scenario(3, initial=[1, 0, 0], calls=[CallRecord(0, 2, 0, 3, 1.0)], speed=100.0)
         world = sim.init_world(net, scn, seed=0)
         _, outcome = sim.step(world, stay_policy(net))
-        assert len(outcome.samples) == 1
-        s = outcome.samples[0]
-        assert s.reward == 1 and s.terminated and s.road_after_move == 0
+        samples = outcome.samples
+        assert len(samples) == 1
+        assert samples.reward.tolist() == [1] and samples.road_after_move.tolist() == [0]
+        assert samples.controllable_next.tolist() == [False]
         assert outcome.served == 1
 
     def test_no_drivers_still_generates(self):
@@ -318,20 +331,19 @@ class TestStep:
         scn = make_scenario(3, total=0, calls=[CallRecord(0, 1, 1, 2, 1.0)])
         world = sim.init_world(net, scn, seed=0)
         _, outcome = sim.step(world, stay_policy(net))
-        assert outcome.samples == ()
+        assert len(outcome.samples) == 0
         assert outcome.generated == 1
 
     def test_sample_flags_next_step_controllability(self):
         net = chain_network()
         scn = make_scenario(3, initial=[2, 0, 0], speed=400.0)
         world = sim.init_world(net, scn, seed=0)
-        a, b = world.drivers
-        a.position = 0.05  # after +0.4 -> 0.45, next step 0.85 < 1: not controllable
-        b.position = 0.45  # after +0.4 -> 0.85, next step 1.25 >= 1: controllable
+        # after +0.4 -> 0.45, next step 0.85 < 1: not controllable;
+        # after +0.4 -> 0.85, next step 1.25 >= 1: controllable
+        world.position[:] = [0.05, 0.45]
         _, outcome = sim.step(world, stay_policy(net))
-        flags = {s.driver_id: s.was_controllable_next for s in outcome.samples}
-        assert flags[a.driver_id] is False
-        assert flags[b.driver_id] is True
+        assert outcome.samples.driver_id.tolist() == [0, 1]
+        assert outcome.samples.controllable_next.tolist() == [False, True]
 
     def test_fixed_seed_trajectories_are_bit_identical(self):
         net = fork_network()
@@ -343,8 +355,13 @@ class TestStep:
             policy = stay_policy(net)
             log = []
             for _ in range(15):
-                _, outcome = sim.step(world, policy)
-                log.append(outcome)
+                obs, outcome = sim.step(world, policy)
+                s = outcome.samples
+                log.append([
+                    a.tolist() for a in (s.driver_id, s.road_after_move, s.controllable_next,
+                                         s.reward, obs.idle_counts, obs.call_counts,
+                                         world.road, world.position)
+                ] + [outcome.served, outcome.generated])
             log.append((world.counters.orders_generated, world.counters.orders_served))
             runs.append(log)
         assert runs[0] == runs[1]
@@ -371,7 +388,8 @@ class TestStepInvariants:
         policy = policy_from_q(np.full(3, 0.5), dual, PolicyKind("random"))
         yield world  # before any step
         for _ in range(steps):
-            before = {d.driver_id: (d.road, d.idle) for d in world.drivers}
+            before = dict(zip(world.driver_id.tolist(),
+                              zip(world.road.tolist(), (world.serving_remaining == 0).tolist())))
             obs, outcome = sim.step(world, policy)
             yield world, obs, outcome, before
 
@@ -389,14 +407,15 @@ class TestStepInvariants:
                 assert world.total_drivers() == target
                 assert world.counters.orders_served <= world.counters.orders_generated
                 idle_before = {i for i, (_, idle) in before.items() if idle}
-                sampled = {s.driver_id for s in outcome.samples}
+                samples = outcome.samples
+                sampled = set(samples.driver_id.tolist())
                 # released drivers join the idle set mid-step, so sampled >= idle_before
                 assert idle_before <= sampled
-                assert len(sampled) == len(outcome.samples)
-                for s in outcome.samples:
-                    assert (s.reward == 1) == s.terminated
-                    if s.driver_id in before and before[s.driver_id][1]:
-                        assert s.road_after_move in closure[before[s.driver_id][0]]
+                assert len(sampled) == len(samples)
+                assert not (samples.controllable_next & (samples.reward == 1)).any()
+                for i, road in zip(samples.driver_id.tolist(), samples.road_after_move.tolist()):
+                    if i in idle_before:
+                        assert road in closure[before[i][0]]
                 rate = sim.order_response_rate(world.counters)
                 if rate is not None:
                     assert 0.0 <= rate <= 1.0
